@@ -212,15 +212,24 @@ def check_petersson(text: str, rng) -> list[str]:
         err = max(abs(a - b) for a, b in zip(ours, theirs))
         if err > 1e-9:
             problems.append(f"petersson: eigenvalue oracle off by {err:.2e} at kappa={kappa}")
-    # seeded pairs: the ratio from a geometric side summed here
+    # seeded pairs: the program's ratio against one from a geometric side
+    # summed here, and both against the eigenvalue product
     for _ in range(2):
         kappa = rng.choice(W.PETERSSON_KAPPAS)
         m, n = rng.randint(1, n_max), rng.randint(1, n_max)
         lam = eigenvalues(kappa, n_max)
-        ratio = petersson_side(kappa, m, n) / petersson_side(kappa, 1, 1)
-        if abs(ratio - lam[m - 1] * lam[n - 1]) > 1e-9:
-            problems.append(f"petersson: independent ratio off at kappa={kappa} m={m} n={n}")
+        ours = petersson_side(kappa, m, n) / petersson_side(kappa, 1, 1)
+        rep = program_ratio(kappa, m, n)
+        if abs(rep - ours) > 1e-9 or abs(ours - lam[m - 1] * lam[n - 1]) > 1e-9:
+            problems.append(f"petersson: kappa={kappa} m={m} n={n}: program ratio {rep:.12g}, "
+                            f"independent {ours:.12g}, eigenvalues {lam[m - 1] * lam[n - 1]:.12g}")
     return problems
+
+
+def program_ratio(kappa: int, m: int, n: int) -> float:
+    """P(m,n)/P(1,1) as genkl computes it for petersson-verify."""
+    rep = petersson.ratio_verify([kappa], [(m, n)], c_max=W.PETERSSON_CMAX)
+    return rep["entries"][0]["ratio"]
 
 
 # ---------------------------------------------------------------------------

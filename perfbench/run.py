@@ -1,4 +1,4 @@
-"""The genkl benchmark: four workloads through the `genkl` CLI entry point.
+"""The genkl benchmark: three workloads through the `genkl` CLI entry point.
 
 Usage, from the repository root:
 
@@ -7,19 +7,19 @@ Usage, from the repository root:
 Workloads are listed in workloads.py and explained in README.md.  Every
 command runs in a fresh interpreter (perfbench/child.py) on the numpy
 fallback, pinned with GENKL_PURE_PYTHON=1.  A run repeats whole rounds of
-the workload's commands until --seconds have passed (at least one round),
-then starts bare children that only import genkl until SETUP_SAMPLES
-set-ups have been timed.  The outputs are then checked against
-independent routes (checks.py), outside the timed part.
+the workload's commands until --seconds have passed (at least one round).
+An untraced run then times SETUP_SAMPLES bare children that only import
+genkl.  The outputs are then checked against independent routes
+(checks.py), outside the timed part.
 
---trace 0 reports the end-to-end metrics: setup_s (median over every
-process of a run: interpreter start plus import of genkl, numpy and
-scipy), run_s (median over rounds of the summed command times) and
-peak_rss_mb (median over rounds of the largest peak resident set of a
-round's processes).  --trace 1 runs the same rounds with the per-layer
-wrappers of tracer.py and reports the per-layer metrics, each the median
-over rounds.  The last line of standard output is one JSON object; the
-full record of the run goes to .perfbench_runs/.
+--trace 0 reports the end-to-end metrics: setup_s (median over the bare
+children: interpreter start plus import of genkl, numpy and scipy), run_s
+(median over rounds of the summed command times) and peak_rss_mb (median
+over rounds of the largest peak resident set of a round's processes).
+--trace 1 runs the same rounds with the per-layer wrappers of tracer.py
+and reports the per-layer metrics, each the median over rounds.  The last
+line of standard output is one JSON object; the full record of the run
+goes to .perfbench_runs/.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.getcwd()
 SRC = os.path.join(ROOT, "src")
 RUNS_DIR = os.path.join(ROOT, ".perfbench_runs")
-SETUP_SAMPLES = 8
+SETUP_SAMPLES = 12
 RUN_BUDGET_S = 170  # every child is killed once the whole run has used this
 
 sys.path.insert(0, HERE)
@@ -153,16 +153,14 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, di
     while True:
         rnd = []
         for args in commands:
-            setup_s, result, stderr = spawn(flags, args, deadline)
-            if setup_s is not None:
-                setups.append(setup_s)
+            _, result, stderr = spawn(flags, args, deadline)
             if result is None or result["rc"] != 0:
                 stderrs.append(f"{' '.join(args)}: exit {result and result['rc']}\n{stderr}")
             rnd.append(result)
         rounds.append(rnd)
         if time.perf_counter() - start >= seconds or time.perf_counter() >= deadline:
             break
-    # bare set-ups until the median rests on SETUP_SAMPLES processes
+    # set-up is timed on bare children only, which import genkl and exit
     while not trace and len(setups) < SETUP_SAMPLES and time.perf_counter() < deadline:
         setup_s, _, stderr = spawn(["--setup-only"], [], deadline)
         if setup_s is None:
@@ -171,8 +169,8 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, di
         setups.append(setup_s)
 
     attempted = len(commands) * len(rounds)
-    ok = [[r if r is not None and r["rc"] == 0 else None for r in rnd] for rnd in rounds]
-    failed = sum(r is None for rnd in ok for r in rnd)
+    failed = sum(r is None or r["rc"] != 0 for rnd in rounds for r in rnd)
+    done = [[r for r in rnd if r is not None] for rnd in rounds]
 
     # correctness, outside the timed part
     sys.path.insert(0, SRC)
@@ -181,11 +179,14 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, di
 
     rng = random.Random(seed)
     problems = []
-    backends = sorted({r["backend"] for rnd in ok for r in rnd if r is not None})
+    backends = sorted({r["backend"] for rnd in done for r in rnd})
     if backends != ["python"]:
         problems.append(f"backend {backends}, expected the numpy fallback 'python'")
     for i, check in enumerate(checks.command_checks(workload)):
-        outs = [rnd[i]["stdout"] for rnd in ok if rnd[i] is not None]
+        # a command that exited non-zero is still checked on what it printed
+        outs = [rnd[i]["stdout"] for rnd in rounds if rnd[i] is not None]
+        if all(rnd[i] is None or rnd[i]["rc"] != 0 for rnd in rounds):
+            problems.append(f"{' '.join(commands[i])}: failed in every round")
         if not outs:
             continue
         if any(out != outs[0] for out in outs):
@@ -197,25 +198,24 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, di
         "workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
         "backend": backends, "rounds": len(rounds), "commands": commands,
         "setup_s": setups,
-        "run_s": [[r and r["run_s"] for r in rnd] for rnd in ok],
-        "peak_rss_mb": [[r and r["peak_rss_mb"] for r in rnd] for rnd in ok],
+        "rc": [[r and r["rc"] for r in rnd] for rnd in rounds],
+        "run_s": [[r and r["run_s"] for r in rnd] for rnd in rounds],
+        "peak_rss_mb": [[r and r["peak_rss_mb"] for r in rnd] for rnd in rounds],
         "problems": problems, "stderr": stderrs,
     }
-    round_run_s = [sum(r["run_s"] for r in rnd if r is not None) for rnd in ok]
+    round_run_s = [sum(r["run_s"] for r in rnd) for rnd in done]
     if trace:
-        per_round = [layer_metrics([r["trace"] for r in rnd if r is not None], run_s)
-                     for rnd, run_s in zip(ok, round_run_s)]
+        per_round = [layer_metrics([r["trace"] for r in rnd], run_s)
+                     for rnd, run_s in zip(done, round_run_s)]
         metrics = {name: {"value": median([m[name] for m in per_round]), "unit": unit}
                    for name, unit in LAYER_UNITS.items()}
-        record["missing"] = sorted({n for rnd in ok for r in rnd if r is not None
-                                    for n in r["trace"]["missing"]})
         record["per_round"] = per_round
     else:
         values = {
             "setup_s": median(setups),
             "run_s": median(round_run_s),
-            "peak_rss_mb": median([max((r["peak_rss_mb"] for r in rnd if r is not None), default=0.0)
-                                   for rnd in ok]),
+            "peak_rss_mb": median([max((r["peak_rss_mb"] for r in rnd), default=0.0)
+                                   for rnd in done]),
         }
         metrics = {name: {"value": values[name], "unit": unit}
                    for name, unit in END_TO_END_UNITS.items()}

@@ -1,9 +1,10 @@
 """Tests of the benchmark itself: every workload's check accepts the real
-output and rejects a corrupted one, and the runs print exactly the metrics
-BENCHMARK.json names.
+output and rejects a corrupted one, a command that exits non-zero is
+counted as failed and still checked, and the runs print exactly the
+metrics BENCHMARK.json names.
 
 Run from the repository root:  python3 -m pytest perfbench -q
-(about a minute on two cores; the degeneration outputs and the two
+(about 1.5 minutes on two cores; the degeneration outputs and the three
 benchmark runs dominate).
 """
 
@@ -92,6 +93,30 @@ def test_petersson_rejects_corruption():
     assert problems("petersson", [_edit_json(text, max_deviation=3e-4)])
     assert problems("petersson", [_edit_json(text, status="FAIL")])
     assert problems("petersson", [_edit_json(text, cmax=1000)])
+
+
+def test_petersson_rejects_a_wrong_program_ratio(monkeypatch):
+    (text,) = outputs("petersson")
+    right = checks.program_ratio
+    monkeypatch.setattr(checks, "program_ratio", lambda *a: right(*a) + 1e-6)
+    assert problems("petersson", [text])
+
+
+def test_failing_command_is_checked_on_its_output(monkeypatch, tmp_path):
+    """A command that exits non-zero counts as failed, and its printed
+    status still reaches the check, so the run is not correct."""
+    import run as bench
+
+    args = ["petersson-verify", "--kappa", "12", "--mmax", "2", "--cmax", "20", "--tol", "1e-300"]
+    monkeypatch.setitem(workloads.COMMANDS, "petersson", [args])
+    monkeypatch.setattr(bench, "SRC", os.path.join(ROOT, "src"))
+    monkeypatch.setattr(bench, "ROOT", ROOT)
+    monkeypatch.setattr(bench, "RUNS_DIR", str(tmp_path))
+    result, record = bench.run("petersson", 1, 0.0, False)
+    assert result["attempted"] == 1 and result["failed"] == 1
+    assert not result["correct"]
+    assert any("status 'FAIL'" in p for p in record["problems"])
+    assert any("failed in every round" in p for p in record["problems"])
 
 
 def test_degeneration_rejects_corruption():

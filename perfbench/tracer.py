@@ -8,8 +8,8 @@ genkl modules imported with `from ... import` is replaced in every genkl
 module that holds it, so those call sites are traced too.
 
 Nothing inside `src/` is changed: the wrappers live in this process only.
-A traced name that the package no longer has is reported as missing and
-reads 0, so the traced run keeps working across refactors.
+A traced name that the package no longer has makes install() raise, so a
+renamed function fails the traced run instead of reading 0.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class Tracer:
 
     def __init__(self):
         self.stats: dict[str, list] = {}  # name -> [calls, cumulative s, self s]
-        self.missing: list[str] = []
         self.bucket_pairs = 0  # (a, b) pairs mod p^k visited by dihedral_bucket
         self.bucket_triples: set = set()  # distinct (p, A, B, k, M) given to it
         self.kloosterman_terms = 0  # len(ms) * phi(c) summed by kloosterman_many
@@ -98,28 +97,19 @@ class Tracer:
         """Counters of this process, plus the sizes of genkl's own caches."""
         engine = sys.modules["genkl.engine"]
         quadext = sys.modules["genkl.quadext"]
-        caches = {}
-        try:
-            info = engine._unit_inverses.cache_info()
-            caches["unit_inverses_hits"] = info.hits
-            caches["unit_inverses_misses"] = info.misses
-        except AttributeError:
-            self.missing.append("engine._unit_inverses.cache_info")
-        try:
-            caches["h_vec_entries"] = len(engine._H_VEC_CACHE)
-        except AttributeError:
-            self.missing.append("engine._H_VEC_CACHE")
-        try:
-            caches["unit_group_misses"] = quadext.unit_group.cache_info().misses
-        except AttributeError:
-            self.missing.append("quadext.unit_group.cache_info")
+        inverses = engine._unit_inverses.cache_info()
+        caches = {
+            "unit_inverses_hits": inverses.hits,
+            "unit_inverses_misses": inverses.misses,
+            "h_vec_entries": len(engine._H_VEC_CACHE),
+            "unit_group_misses": quadext.unit_group.cache_info().misses,
+        }
         return {
             "stats": self.stats,
             "bucket_pairs": self.bucket_pairs,
             "bucket_triples": sorted(self.bucket_triples),
             "kloosterman_terms": self.kloosterman_terms,
             "caches": caches,
-            "missing": self.missing,
         }
 
 
@@ -140,21 +130,15 @@ def install() -> Tracer:
         module = importlib.import_module(f"genkl.{mod_name}")
         owner_name, _, attr = path.rpartition(".")
         if owner_name:
-            owner = getattr(module, owner_name, None)
-            raw = vars(owner).get(attr) if owner is not None else None
-            if raw is None:
-                tracer.missing.append(name)
-                continue
+            owner = getattr(module, owner_name)
+            raw = vars(owner)[attr]
             if isinstance(raw, property):
                 new = property(tracer.wrap(name, raw.fget), raw.fset, raw.fdel, raw.__doc__)
             else:
                 new = tracer.wrap(name, raw)
             setattr(owner, attr, new)
             continue
-        orig = getattr(module, attr, None)
-        if orig is None:
-            tracer.missing.append(name)
-            continue
+        orig = getattr(module, attr)
         wrapped = tracer.wrap(name, orig, hooks.get(name))
         for mod in _genkl_modules():
             for key, val in list(vars(mod).items()):

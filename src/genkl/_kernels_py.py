@@ -44,15 +44,19 @@ def dihedral_bucket(p: int, k: int, A: int, B: int, xi_table, m_red: int) -> np.
     out = np.zeros(pk, dtype=np.complex128)
     table = np.exp(-2j * np.pi * np.arange(pk) / pk)
     a = np.arange(pk, dtype=np.int64)
-    a_sq = a * a % pk
-    two_a = 2 * a % pk
-    for b in range(pk):
-        vals = xi_table[a % pm, b % pm]
+    # which a make a unit with b, and xi there, depend on b only through
+    # b mod p^m_red: select them once per class, not once per b
+    classes = []
+    for r in range(min(pm, pk)):
+        vals = xi_table[a % pm, r]
         nz = vals.nonzero()[0]
-        if len(nz) == 0:
-            continue
         an = a[nz]
-        norm = (a_sq[nz] - A * an * b + B * b * b) % pk
-        tr = (two_a[nz] - A * b) % pk
-        np.add.at(out, norm, vals[nz] * table[tr])
+        classes.append((vals[nz], an, an * an % pk, 2 * an % pk))
+    for b in range(pk):
+        vals, an, a_sq, two_a = classes[b % pm]
+        if len(an) == 0:
+            continue
+        norm = (a_sq - A * an * b + B * b * b) % pk
+        tr = (two_a - A * b) % pk
+        np.add.at(out, norm, vals * table[tr])
     return out

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from .padic import CapacityError, enumerate_dirichlet
+from .padic import CapacityError, check_capacity, enumerate_dirichlet
 from .quadext import standard_extensions
 from .extchars import enumerate_xi, eta_restriction, is_regular, is_twist_minimal
 from .families import (
@@ -115,10 +116,16 @@ def _klsum_rows(tf, grid):
 
 
 def cmd_klsum(args):
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+    jobs = min(args.jobs, os.cpu_count() or 1)
     tf = build_family(args)
     p = args.p
+    ks = _parse_range(args.k)
+    for k in ks:
+        check_capacity(p, k)
     grid = []
-    for k in _parse_range(args.k):
+    for k in ks:
         pk = p**k
         if args.grid == "units":
             for t in range(1, pk):
@@ -130,8 +137,8 @@ def cmd_klsum(args):
             for m in _parse_range(args.m):
                 for n in _parse_range(args.n):
                     grid.append((m, n, k))
-    if args.jobs > 1:
-        rows = _parallel_klsum(args, grid)
+    if jobs > 1:
+        rows = _parallel_klsum(args, grid, jobs)
     else:
         rows = _klsum_rows(tf, grid)
     _emit(rows, ("family", "p", "k", "m", "n", "re", "im", "vanishing_reason"), args)
@@ -150,14 +157,14 @@ def _worker_eval(chunk):
     return _klsum_rows(_WORKER["tf"], chunk)
 
 
-def _parallel_klsum(args, grid):
+def _parallel_klsum(args, grid, jobs):
     from concurrent.futures import ProcessPoolExecutor
 
     argdict = vars(args).copy()
     for drop in ("func", "jobs", "out", "format", "k", "m", "n", "grid"):
         argdict.pop(drop, None)
-    chunks = [grid[i :: args.jobs] for i in range(args.jobs)]
-    with ProcessPoolExecutor(args.jobs, initializer=_worker_init, initargs=(argdict,)) as ex:
+    chunks = [grid[i :: jobs] for i in range(jobs)]
+    with ProcessPoolExecutor(jobs, initializer=_worker_init, initargs=(argdict,)) as ex:
         parts = list(ex.map(_worker_eval, chunks))
     merged = [row for part in parts for row in part]
     merged.sort(key=lambda r: (r[2], r[3], r[4]))
@@ -377,8 +384,7 @@ def cmd_petersson_verify(args):
     eigen = None
     if args.eigen_cache:
         eigen = {
-            kappa: ingest_eigendata(args.eigen_cache, 1, kappa, online=args.online)
-            for kappa in kappas
+            kappa: ingest_eigendata(args.eigen_cache, 1, kappa) for kappa in kappas
         }
     rep = ratio_verify(kappas, pairs, c_max=args.cmax, eigen=eigen)
     ok = rep["max_deviation"] < args.tol
@@ -402,7 +408,8 @@ def main(argv=None) -> int:
     sp.add_argument("--grid", choices=["units", "mn"], default="units")
     sp.add_argument("--m", default="1")
     sp.add_argument("--n", default="1")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes, at most the number of CPUs")
     sp.set_defaults(func=cmd_klsum)
 
     sp = sub.add_parser("mellin")
@@ -435,8 +442,6 @@ def main(argv=None) -> int:
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--eigen-cache", default=None,
                     help="JSONL eigenvalue cache; omitted = builtin oracle")
-    sp.add_argument("--online", action="store_true",
-                    help="allow fetching into the cache from GENKL_EIGEN_ENDPOINT")
     sp.set_defaults(func=cmd_petersson_verify)
 
     sp = sub.add_parser("char-enum")

@@ -23,10 +23,10 @@ import numpy as np
 from . import kernels
 from .padic import (
     DirichletCharacter,
+    check_capacity,
     e,
     gauss_sum_at_level,
     nu,
-    phi_pk,
     unit_group_zpk,
     valuation,
 )
@@ -147,6 +147,7 @@ def xi_table(xi: ExtCharacter, restrict_U1: bool = False) -> np.ndarray:
 def I_xi_vector(xi: ExtCharacter, k: int, restrict_U1: bool = False) -> np.ndarray:
     """I_xi(t, p^k) for every t mod p^k: sums of xi(u) psi(-Tr(u)/p^k) over
     the norm fiber of t, bucketed in one pass over the units."""
+    check_capacity(xi.ext.p, k)
     key = (_xi_key(xi), k, restrict_U1)
     if key in _I_VEC_CACHE:
         return _I_VEC_CACHE[key]
@@ -268,6 +269,7 @@ _H_VEC_CACHE: dict = {}
 
 def h_local_vector(tf: LocalTestFunction, k: int) -> np.ndarray:
     """H_p(t, 1; p^k) for every t mod p^k."""
+    check_capacity(tf.p, k)
     key = (_tf_key(tf), k)
     if key in _H_VEC_CACHE:
         return _H_VEC_CACHE[key]
@@ -321,6 +323,7 @@ def _nonunit_mask(p: int, k: int) -> np.ndarray:
 
 def h_local(tf: LocalTestFunction, m: int, n: int, k: int) -> KloostermanValue:
     """H_p(m, n; p^k) for the five families."""
+    check_capacity(tf.p, k)
     p = tf.p
     pk = p**k
 
@@ -448,45 +451,40 @@ class GlobalTestFunction:
             out *= tf.delta_p()
         return out
 
-    def local_at(self, p: int) -> LocalTestFunction | None:
-        for tf in self.locals:
-            if tf.p == p:
-                return tf
-        return None
-
 
 def h_global(gtf: GlobalTestFunction, m: int, n: int, c) -> complex:
-    """H(m,n;c) = S(cbar_N m, cbar_N n; c_0) * prod_{p|N} H_p(m cbar_0, n cbar_0; p^{v_p(c)}).
-
-    Zero for non-integral c and whenever c misses the geometric conductor.
-    """
+    """H(m,n;c) for one pair of integers; zero for non-integral c."""
     frac = Fraction(c)
     if frac <= 0:
         raise ValueError("modulus must be positive")
     if frac.denominator != 1:
         return 0j
-    c = int(frac)
-    N = gtf.level
+    return complex(h_global_many(gtf, [m], [n], int(frac))[0])
+
+
+def h_global_many(gtf: GlobalTestFunction, ms, ns, c: int) -> np.ndarray:
+    """H(m_i,n_i;c) for parallel arrays of m and n at one modulus c:
+    S(cbar_N m, cbar_N n; c_0) * prod_{p|N} H_p(m cbar_0, n cbar_0; p^{v_p(c)}).
+
+    Zero whenever c misses the geometric conductor.  At level 1 this is
+    classical_S_many.
+    """
+    ms = np.asarray(ms, dtype=np.int64)
+    ns = np.asarray(ns, dtype=np.int64)
     c0, cN = c, 1
     for tf in gtf.locals:
         while c0 % tf.p == 0:
             c0 //= tf.p
             cN *= tf.p
-    val = classical_S((pow(cN, -1, c0) if c0 > 1 else 0) * m,
-                      (pow(cN, -1, c0) if c0 > 1 else 0) * n, c0) if c0 > 1 else 1.0 + 0j
-    if gtf.locals:
-        cbar_0 = pow(c0, -1, N * cN) if N * cN > 1 else 0
-        for tf in gtf.locals:
-            v = 0
-            cc = c
-            while cc % tf.p == 0:
-                cc //= tf.p
-                v += 1
-            loc = h_local(tf, m * cbar_0, n * cbar_0, v)
-            val *= loc.value
-            if val == 0:
-                return 0j
-    return complex(val)
+    cbar_N = pow(cN, -1, c0)
+    vals = classical_S_many(cbar_N * ms, cbar_N * ns, c0)
+    cbar_0 = pow(c0, -1, gtf.level * cN)
+    for tf in gtf.locals:
+        v = valuation(cN, tf.p)
+        loc = [h_local(tf, m * cbar_0, n * cbar_0, v).value
+               for m, n in zip(ms.tolist(), ns.tolist())]
+        vals = vals * np.array(loc, dtype=np.complex128)
+    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,6 @@ class ExtCharacter:
         ph = self.unit_phase(pair)
         return e(ph.numerator, ph.denominator)
 
-    def unif_value(self) -> complex:
-        return e(self.unif_phase.numerator, self.unif_phase.denominator)
-
     def base_phase_at(self, x: Fraction | int) -> Fraction:
         """Exact phase of xi on Q_p^x embedded in E^x."""
         x = Fraction(x)
@@ -79,9 +76,6 @@ class ExtCharacter:
         return e(ph.numerator, ph.denominator)
 
     # -- structure ----------------------------------------------------------
-
-    def is_trivial_on_units(self) -> bool:
-        return all(x == 0 for x in self.exps)
 
     def conductor(self) -> int:
         """Smallest c >= 0 with xi trivial on U_E(c)."""
@@ -136,9 +130,6 @@ class ExtCharacter:
             assert ph * o == int(ph * o)
             exps.append(int(ph * o))
         return DirichletCharacter(p, M, tuple(exps))
-
-    def base_value_at_p(self) -> complex:
-        return self.value_at_base(Fraction(self.ext.p))
 
     def at_precision(self, m: int) -> "ExtCharacter":
         """The same character carried on (O_E/p_E^m)^* for m >= current m."""

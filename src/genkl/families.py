@@ -299,10 +299,6 @@ class NelsonEq:
 LocalTestFunction = Classical | PrincipalSeries | Supercuspidal | SupercuspidalNbhd | NelsonEq
 
 
-def geometric_conductor_closed(tf: LocalTestFunction) -> int:
-    return tf.k_p()
-
-
 def geometric_conductor_scan(tf: LocalTestFunction, k_max: int) -> int:
     """Smallest k with H_p(.,.;p^k) not identically zero, by scanning all
     residue classes; must equal the closed form."""

@@ -47,6 +47,13 @@ def phi_pk(p: int, k: int) -> int:
     return 1 if k == 0 else p ** (k - 1) * (p - 1)
 
 
+def check_capacity(p: int, k: int) -> None:
+    """Refuse p^k whose unit group exceeds GROUP_CAPACITY, before any table
+    or grid over it is built."""
+    if phi_pk(p, k) > GROUP_CAPACITY:
+        raise CapacityError(f"(Z/{p}^{k})^* exceeds capacity")
+
+
 def nu(n: int) -> int:
     """Index [SL2(Z) : Gamma_0(n)] = n * prod_{p|n} (1 + 1/p)."""
     out = Fraction(n)
@@ -123,11 +130,6 @@ def hensel_sqrt_set(l, p: int, k: int) -> set[int]:
         roots = nxt
         mod *= p
     return roots
-
-
-def sqrt_mod_pk(l: int, p: int, k: int) -> set[int]:
-    """Alias for hensel_sqrt_set (reads better at some call sites)."""
-    return hensel_sqrt_set(l, p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +219,8 @@ def unit_group_zpk(p: int, k: int):
     Odd p: cyclic on one primitive root.  p = 2: trivial for k <= 1,
     <-1> for k = 2, <-1> x <5> for k >= 3.
     """
+    check_capacity(p, k)
     q = p**k
-    if phi_pk(p, k) > GROUP_CAPACITY:
-        raise CapacityError(f"(Z/{p}^{k})^* exceeds capacity")
     if k == 0 or (p == 2 and k == 1):
         return (), (), {1 % q: ()}
     if p == 2:

@@ -1,8 +1,11 @@
 """Desk-scale numerical verification of the Petersson formula.
 
-The geometric side is summed over admissible moduli with J-Bessel weights;
-eigenvalue data comes from the eta-product / Eisenstein-series expansions
-(level 1), with an append-only text cache for anything external.  Only
+The geometric side has one path at every level: a table of H(m,n;c) over
+the admissible moduli c = k(F), 2k(F), ... <= c_max for a list of pairs,
+built once by engine.h_global_many, then summed against J-Bessel weights
+pair by pair in ascending c with Kahan compensation.  Eigenvalue data
+comes from the eta-product / Eisenstein-series expansions (level 1), or
+from an append-only JSONL cache that is validated on ingest.  Only
 eigenvalue ratios are ever asserted: the ratio P(m,n)/P(1,1) removes the
 harmonic weight and the Petersson norm at one stroke in the
 one-dimensional weights.
@@ -19,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import jv
 
-from .engine import GlobalTestFunction, classical_S_many, h_global
+from .engine import GlobalTestFunction, h_global_many
 
 # weights with dim S_kappa(SL_2(Z)) = 1
 ONE_DIMENSIONAL_WEIGHTS = (12, 16, 18, 20, 22, 26)
@@ -158,16 +161,11 @@ def write_eigen_cache(path: str, data: EigenData):
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def ingest_eigendata(
-    source: str, level: int, weight: int, online: bool = False
-) -> EigenData:
-    """Read eigenvalues from a cache file, or (opt-in) from the remote
-    endpoint named by GENKL_EIGEN_ENDPOINT, writing through to the cache.
-    Offline operation never touches the network."""
+def ingest_eigendata(source: str, level: int, weight: int) -> EigenData:
+    """Read eigenvalues from a JSONL cache, checking normalization,
+    completeness and the Hecke relations before returning them."""
     if not os.path.exists(source):
-        if not online:
-            raise FileNotFoundError(f"no cache at {source} (offline mode)")
-        _fetch_remote(source, level, weight)
+        raise FileNotFoundError(f"no cache at {source}")
     lams: dict[int, complex] = {}
     src_tag = "external-cache"
     with open(source) as fh:
@@ -196,19 +194,6 @@ def ingest_eigendata(
     return data
 
 
-def _fetch_remote(path: str, level: int, weight: int):
-    endpoint = os.environ.get("GENKL_EIGEN_ENDPOINT")
-    if not endpoint:
-        raise RuntimeError("online mode needs GENKL_EIGEN_ENDPOINT")
-    import urllib.request
-
-    url = f"{endpoint.rstrip('/')}/eigenvalues?level={level}&weight={weight}"
-    with urllib.request.urlopen(url) as resp:
-        payload = resp.read().decode()
-    with open(path, "w") as fh:
-        fh.write(payload)
-
-
 # ---------------------------------------------------------------------------
 # Geometric side
 
@@ -230,20 +215,52 @@ def petersson_geometric(
         raise ValueError("kappa must be even and >= 4")
     if math.gcd(m * n, gtf.level) != 1 or m < 1 or n < 1:
         raise ValueError("m, n must be positive and coprime to the level")
+    pairs = [(m, n)]
+    (value,) = _geometric_side(gtf, kappa, pairs, _h_table(gtf, pairs, c_max), c_max)
+    return PeterssonValue(complex(value), _tail_estimate(gtf, kappa, m, n, c_max))
+
+
+# moduli per block of terms in _geometric_side: few J-Bessel calls, and
+# temporaries of a few hundred kB
+_BLOCK = 256
+
+
+def _moduli(gtf: GlobalTestFunction, c_max: int) -> range:
+    """The admissible moduli c = k(F), 2k(F), ... <= c_max, ascending."""
     kF = gtf.geometric_conductor
+    return range(kF, c_max + 1, kF)
+
+
+def _h_table(gtf: GlobalTestFunction, pairs, c_max: int) -> np.ndarray:
+    """H(m,n;c) with one row per admissible modulus c <= c_max and one
+    column per pair.  The sums do not depend on the weight, so one table
+    serves every kappa."""
+    ms, ns = np.array(pairs, dtype=np.int64).T
+    rows = [h_global_many(gtf, ms, ns, c) for c in _moduli(gtf, c_max)]
+    return np.array(rows, dtype=np.complex128).reshape(-1, len(pairs))
+
+
+def _geometric_side(
+    gtf: GlobalTestFunction, kappa: int, pairs, table: np.ndarray, c_max: int
+) -> np.ndarray:
+    """The geometric side for every pair from the table built by _h_table;
+    each pair is summed in ascending c with Kahan compensation."""
+    ms, ns = np.array(pairs, dtype=np.int64).T
     delta_inf = (kappa - 1) / (4 * math.pi)
-    diag = delta_inf * float(gtf.delta_fin) if m == n else 0.0
-    x_of = 4 * math.pi * math.sqrt(m * n)
+    diag = np.where(ms == ns, delta_inf * float(gtf.delta_fin), 0.0)
     pref = (kappa - 1) / 2 * (1j) ** (-kappa)
-    total = 0j
-    comp = 0j
-    for c in range(kF, c_max + 1, kF):
-        term = pref * h_global(gtf, m, n, c) / c * jv(kappa - 1, x_of / c)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return PeterssonValue(diag + total, _tail_estimate(gtf, kappa, m, n, c_max))
+    xs = 4 * math.pi * np.sqrt(ms * ns)
+    cs = np.array(_moduli(gtf, c_max), dtype=np.float64)[:, None]
+    total = np.zeros(len(pairs), dtype=np.complex128)
+    comp = np.zeros(len(pairs), dtype=np.complex128)
+    for lo in range(0, len(cs), _BLOCK):
+        c = cs[lo : lo + _BLOCK]
+        for term in pref * table[lo : lo + _BLOCK] / c * jv(kappa - 1, xs / c):
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+    return diag + total
 
 
 def _tail_estimate(gtf: GlobalTestFunction, kappa: int, m: int, n: int, c_max: int) -> float:
@@ -289,10 +306,10 @@ def ratio_verify(
     report = {"max_deviation": 0.0, "entries": []}
     n_need = max(max(m, n) for m, n in pairs)
     batch = [(1, 1), *pairs]
-    sums = _kloosterman_table(batch, c_max)
+    table = _h_table(gtf, batch, c_max)
     for kappa in kappas:
         data = (eigen or {}).get(kappa) or builtin_eigendata(kappa, n_need)
-        base, *vals = _petersson_batch(kappa, batch, sums)
+        base, *vals = _geometric_side(gtf, kappa, batch, table, c_max)
         for (m, n), v in zip(pairs, vals):
             lam = (data.lam(m) * data.lam(n).conjugate()).real
             dev = abs(v / base - lam)
@@ -301,26 +318,3 @@ def ratio_verify(
             )
             report["max_deviation"] = max(report["max_deviation"], dev)
     return report
-
-
-def _kloosterman_table(pairs, c_max: int) -> np.ndarray:
-    """S(m,n;c) with one row per modulus c = 1..c_max and one column per
-    pair.  The sums do not depend on the weight, so one table serves
-    every kappa."""
-    ms, ns = np.array(pairs, dtype=np.int64).T
-    return np.array([classical_S_many(ms, ns, c) for c in range(1, c_max + 1)])
-
-
-def _petersson_batch(kappa: int, pairs, sums: np.ndarray) -> np.ndarray:
-    """Level-1 geometric side for many (m,n) at once, from the table of
-    Kloosterman sums built by _kloosterman_table; J-Bessel vectorized per
-    pair, each pair accumulated in ascending c."""
-    ms, ns = np.array(pairs, dtype=np.int64).T
-    delta_inf = (kappa - 1) / (4 * math.pi)
-    out = np.where(ms == ns, delta_inf, 0.0).astype(np.complex128)
-    pref = (kappa - 1) / 2 * (1j) ** (-kappa)
-    xs = 4 * math.pi * np.sqrt(ms * ns)
-    acc = np.zeros(len(pairs), dtype=np.complex128)
-    for c, S in enumerate(sums, start=1):
-        acc += S / c * jv(kappa - 1, xs / c)
-    return out + pref * acc

@@ -154,12 +154,6 @@ class QuadExtension:
                 if self.is_unit((a, b)):
                     yield (a, b)
 
-    def uniformizer_pair(self) -> tuple[int, int]:
-        """pi_E as a ring pair: alpha0 when ramified, p when unramified."""
-        if self.e == 2:
-            return (0, 1)
-        return (self.p, 0)
-
 
 @dataclass(frozen=True)
 class ExtResidue:
@@ -334,12 +328,6 @@ def _smith_normal_form(R: list[list[int]]):
             U[t] = [-x for x in U[t]]
         t += 1
     return D, U, V
-
-
-def _matvec_mod(M, v, mods):
-    return tuple(
-        sum(M[i][j] * v[j] for j in range(len(v))) % mods[i] for i in range(len(M))
-    )
 
 
 def _matinv_int(M):

@@ -48,6 +48,50 @@ class TestKlsum:
         assert serial == par
 
 
+class TestJobs:
+    BASE = ("klsum", "--family", "classical", "--p", "3", "--c", "1",
+            "--k", "1..2", "--grid", "units")
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Replace ProcessPoolExecutor with a stand-in that records
+        max_workers and runs the chunks here, so no worker ever starts."""
+        import concurrent.futures
+        import os
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        return sizes
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_below_one_is_usage_error(self, capsys, pool_sizes, jobs):
+        code, out = run(capsys, *self.BASE, "--jobs", jobs)
+        assert code == 1 and out == ""
+        assert pool_sizes == []
+
+    def test_clamped_to_cpu_count(self, capsys, pool_sizes):
+        _, serial = run(capsys, *self.BASE)
+        code, par = run(capsys, *self.BASE, "--jobs", "10000")
+        assert code == 0 and par == serial
+        assert pool_sizes == [2]
+
+
 class TestSubcommands:
     def test_mellin(self, capsys):
         code, out = run(
@@ -99,6 +143,11 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 
+    def test_online_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["petersson-verify", "--kappa", "12", "--online"])
+        assert exc.value.code == 1
+
     def test_char_enum(self, capsys):
         code, out = run(capsys, "char-enum", "--p", "3", "--ext", "unramified",
                         "--cxi", "1")
@@ -124,6 +173,15 @@ class TestExitCodes:
         code = main(["klsum", "--family", "ps", "--p", "3",
                      "--chi-conductor", "1", "--k", "1"])
         assert code == 1
+
+    def test_oversized_klsum_fails_fast(self, capsys):
+        import time
+
+        t0 = time.perf_counter()
+        code = main(["klsum", "--family", "classical", "--p", "3", "--c", "2",
+                     "--k", "25"])
+        assert code == 3
+        assert time.perf_counter() - t0 < 1.0
 
     def test_capacity_is_three(self, capsys):
         code = main(["char-enum", "--p", "13", "--ext", "unramified",

@@ -27,6 +27,7 @@ from genkl.engine import (
     composed_conductor,
     dihedral_sum_I,
     h_global,
+    h_global_many,
     h_local,
     h_local_vector,
     h_local_vector_definitional,
@@ -139,6 +140,17 @@ class TestHLocal:
         assert abs(v.value - 4 * classical_S(1, 1, 3)) < 1e-12
         assert h_local(tf, 1, 1, 0).vanishing_reason == "below-k_p"
 
+    def test_capacity_refused_before_any_table(self):
+        from genkl.padic import CapacityError
+
+        sc = make_sc(3, 0)
+        with pytest.raises(CapacityError):
+            h_local(Classical(3, 2), 1, 1, 25)
+        with pytest.raises(CapacityError):
+            h_local_vector(sc, 25)
+        with pytest.raises(CapacityError):
+            I_xi_vector(sc.xi, 25)
+
     def test_ps_definition(self):
         # H(m,n) = delta_p sum over xy = mn of chibar(x) chi(y) e((x+y)/p^k)
         tf = make_ps(3, 2)
@@ -247,6 +259,14 @@ class TestHGlobal:
         gtf = GlobalTestFunction((make_sc(3, 0),))
         assert h_global(gtf, 1, 1, 5) == 0  # not a multiple of k(F) = 3
         assert h_global(gtf, 1, 1, Fraction(3, 2)) == 0
+
+    def test_many_matches_one_pair_calls(self):
+        gtf = GlobalTestFunction((make_sc(3, 0), Classical(2, 1)))
+        ms, ns = [1, 5, 7, 11, 13], [1, 1, 5, 25, 35]
+        for c in (1, 6, 12, 30, 84, 270):
+            many = h_global_many(gtf, ms, ns, c)
+            one = [h_global(gtf, m, n, c) for m, n in zip(ms, ns)]
+            assert np.allclose(many, one, rtol=0, atol=1e-12)
 
     def test_twisted_multiplicativity_random(self):
         gtf = GlobalTestFunction((make_sc(3, 0), Classical(2, 1)))

@@ -15,7 +15,6 @@ from genkl.families import (
     SupercuspidalNbhd,
     UnramifiedPS,
     cvf_report,
-    geometric_conductor_closed,
     geometric_conductor_scan,
     local_L_value,
     twist_minimal_conductor,
@@ -174,7 +173,7 @@ class TestConductors:
         ids=str,
     )
     def test_scan_matches_closed(self, tf):
-        assert geometric_conductor_scan(tf, tf.k_p() + 2) == geometric_conductor_closed(tf)
+        assert geometric_conductor_scan(tf, tf.k_p() + 2) == tf.k_p()
 
     def test_scan_sc_and_nbhd(self):
         tf = make_sc(3, 0, cxi=2)

@@ -46,6 +46,35 @@ def test_fallback_unit_inverses(c):
     assert np.all(xs * xinvs % c == 1)
 
 
+def _bucket_per_b(p, k, A, B, xi_table, m_red):
+    """dihedral_bucket written as one selection of units per b: the
+    reference for the fallback, which selects them once per class of b."""
+    pk, pm = p**k, p**m_red
+    out = np.zeros(pk, dtype=np.complex128)
+    table = np.exp(-2j * np.pi * np.arange(pk) / pk)
+    a = np.arange(pk, dtype=np.int64)
+    for b in range(pk):
+        vals = xi_table[a % pm, b % pm]
+        nz = vals.nonzero()[0]
+        an = a[nz]
+        norm = (an * an % pk - A * an * b + B * b * b) % pk
+        tr = (2 * an % pk - A * b) % pk
+        np.add.at(out, norm, vals[nz] * table[tr])
+    return out
+
+
+@pytest.mark.parametrize("p, k, m_red", [(2, 6, 3), (3, 4, 2), (3, 2, 3), (5, 3, 1), (7, 2, 0)])
+def test_fallback_dihedral_bucket(p, k, m_red):
+    # same arithmetic in the same order, so the results agree bit for bit
+    rng = np.random.default_rng(p * 100 + k * 10 + m_red)
+    pm = p**m_red
+    xi = rng.standard_normal((pm, pm)) + 1j * rng.standard_normal((pm, pm))
+    xi[rng.random((pm, pm)) < 0.4] = 0
+    for A, B in ((0, -1), (1, 1), (-2, p)):
+        got = BACKENDS["python"].dihedral_bucket(p, k, A, B, xi, m_red)
+        assert got.tobytes() == _bucket_per_b(p, k, A, B, xi, m_red).tobytes()
+
+
 @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel not built")
 class TestBackendParity:
     def test_unit_inverses(self):

@@ -97,6 +97,18 @@ class TestGeometric:
         entry = next(e for e in rep["entries"] if (e["m"], e["n"]) == (2, 1))
         assert entry["ratio"] == pytest.approx(lam2, abs=1e-9)
 
+    def test_ratio_verify_matches_petersson_geometric(self):
+        # the batched ratio and the one-pair route share the table builder
+        # and the Kahan loop; they must agree far below the tolerance
+        gtf = GlobalTestFunction(())
+        pairs = [(2, 1), (3, 5), (4, 4), (7, 2)]
+        for kappa in (12, 20):
+            rep = ratio_verify([kappa], pairs, c_max=300)
+            base = petersson_geometric(gtf, kappa, 1, 1, 300).value
+            for entry in rep["entries"]:
+                v = petersson_geometric(gtf, kappa, entry["m"], entry["n"], 300).value
+                assert abs(entry["ratio"] - (v / base).real) < 1e-13
+
     def test_level_one_diagonal_values(self):
         import math
 

@@ -5,12 +5,17 @@ exponent vector against the canonical generators of (O_E/p_E^m)^*, the
 uniformizer value a root of unity stored as an exact phase in [0,1).
 Conductors, restrictions to Q_p^x, Galois twists, neighborhoods xi[n] and
 the Postnikov linearization all operate on this data.
+
+Derived invariants are memoized with functools.cache on positional-only
+arguments, so each value has one cache key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+
 from .padic import DirichletCharacter, e, unit_group_zpk, valuation
 from .quadext import EXCEEDS_PRECISION, QuadExtension, UnitGroup, eta_char, unit_group
 
@@ -28,7 +33,12 @@ def psi_E(ext: QuadExtension, pair: tuple[int, int], denom_exp: int) -> complex:
 
 class ExtCharacter:
     """A character of E^x, faithful on (O_E/p_E^m)^* plus a value at the
-    uniformizer (p when unramified, alpha0 when ramified)."""
+    uniformizer (p when unramified, alpha0 when ramified).
+
+    Equality and hash are by value (extension, carrier precision, unit
+    exponents, uniformizer phase), so the invariants memoized on a
+    character are shared by every equal copy of it.
+    """
 
     def __init__(
         self,
@@ -42,6 +52,8 @@ class ExtCharacter:
         self.exps = tuple(x % o for x, o in zip(exps, group.orders))
         self.unif_phase = Fraction(unif_phase) % 1
         self._conductor: int | None = None
+        self._key = (ext, group.m, self.exps, self.unif_phase)
+        self._hash = hash(self._key)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -155,6 +167,12 @@ class ExtCharacter:
         return all(
             big.unit_phase(g) == small.unit_phase(g) for g in big.group.gens
         )
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ExtCharacter) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return (
@@ -281,12 +299,14 @@ def _unif_phases(ext, G, exps, at_p_phase: Fraction):
     return [base % 1, (base + Fraction(1, 2)) % 1]
 
 
-def is_regular(xi: ExtCharacter) -> bool:
+@cache
+def is_regular(xi: ExtCharacter, /) -> bool:
     """True iff xi does not factor through the norm, i.e. xi != xi^sigma."""
     return not xi.same_character(xi.galois_twist())
 
 
-def sigma_conductor(xi: ExtCharacter) -> int:
+@cache
+def sigma_conductor(xi: ExtCharacter, /) -> int:
     """Conductor exponent of the induced representation: 2 c(xi)/e + d."""
     if not is_regular(xi):
         raise ValueError("sigma_conductor needs a regular character")
@@ -396,14 +416,16 @@ def _theta_unif_phases(ext, G, exps):
     return [base % 1, (base + Fraction(1, 2)) % 1]
 
 
-def neighborhood_index(xi: ExtCharacter, n: int, a: int) -> int:
+@cache
+def neighborhood_index(xi: ExtCharacter, n: int, a: int, /) -> int:
     """[xi[n] : xi[a]] = |xi[n]| / |xi[a]|."""
     big, small = len(neighborhood(xi, n)), len(neighborhood(xi, a))
     assert big % small == 0
     return big // small
 
 
-def neighborhood_classes(xi: ExtCharacter, n: int, i: int) -> list[ExtCharacter]:
+@cache
+def neighborhood_classes(xi: ExtCharacter, n: int, i: int, /) -> tuple[ExtCharacter, ...]:
     """One representative per class of xi[n] modulo the relation
     c(xi1 xi1'^{-1}) <= i (equal restriction is automatic here)."""
     G = xi.group
@@ -421,7 +443,7 @@ def neighborhood_classes(xi: ExtCharacter, n: int, i: int) -> list[ExtCharacter]
         seen.add(cls)
         unif = _theta_unif_phases(xi.ext, G, exps)[0]
         reps.append(xi.mul(ExtCharacter(xi.ext, G, exps, unif)))
-    return reps
+    return tuple(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +477,8 @@ class PostnikovDatum:
         return self.ext.trace(prod, pw), self.denom_exp
 
 
-def postnikov_linearize(xi: ExtCharacter, i: int) -> PostnikovDatum:
+@cache
+def postnikov_linearize(xi: ExtCharacter, i: int, /) -> PostnikovDatum:
     """Solve xi(1+u) = psi_E(alpha u) for all u with v_E(u) >= i.
 
     Requires 1 <= i and c(xi) <= 2i (the linear regime); the solution has

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .padic import DirichletCharacter, nu
 from .extchars import (
@@ -104,7 +105,8 @@ class PrincipalSeries:
         return self.c_chi
 
 
-def _check_supercuspidal_xi(xi: ExtCharacter):
+@cache
+def _check_supercuspidal_xi(xi: ExtCharacter, /):
     ext = xi.ext
     if not is_regular(xi):
         raise ValueError("xi must be regular")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .padic import (
     CapacityError,
@@ -62,19 +62,19 @@ class QuadExtension:
             if self.p == 2 and self.d == 3 and self.A != 0:
                 raise ValueError("d = 3 over Q_2 uses A = 0")
 
-    @property
+    @cached_property
     def disc(self) -> int:
         return self.A * self.A - 4 * self.B
 
-    @property
+    @cached_property
     def d(self) -> int:
         """Valuation of the discriminant."""
         return valuation(self.disc, self.p)
 
-    @property
+    @cached_property
     def e(self) -> int:
         """Ramification index: 1 when disc is a unit, else 2."""
-        return 1 if valuation(self.disc, self.p) == 0 else 2
+        return 1 if self.d == 0 else 2
 
     @property
     def q(self) -> int:

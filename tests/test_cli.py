@@ -174,14 +174,22 @@ class TestExitCodes:
                      "--chi-conductor", "1", "--k", "1"])
         assert code == 1
 
-    def test_oversized_klsum_fails_fast(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        "klsum --family classical --p 3 --c 2 --k 25",
+        "identities --suite degeneration --p 10007",
+        "mellin --family classical --p 3 --c 1 --k 25",
+        "bounds --family classical --p 3 --c 1 --k 25",
+        "family-info --family supercuspidal --p 10007",
+        "char-enum --p 10007 --cxi 1",
+    ], ids=lambda argv: argv.split()[0])
+    def test_oversized_fails_fast(self, capsys, argv):
         import time
 
         t0 = time.perf_counter()
-        code = main(["klsum", "--family", "classical", "--p", "3", "--c", "2",
-                     "--k", "25"])
+        code = main(argv.split())
         assert code == 3
         assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err.startswith("capacity exceeded: ")
 
     def test_capacity_is_three(self, capsys):
         code = main(["char-enum", "--p", "13", "--ext", "unramified",

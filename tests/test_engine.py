@@ -133,6 +133,34 @@ class TestGamma:
                 assert abs(g * g - eta_char(ext, -1)) < 1e-8
 
 
+class TestValueMemos:
+    def test_rebuilt_supercuspidal_shares_sums(self):
+        sc, again = make_sc(3, 1), make_sc(3, 1)
+        assert sc.xi is not again.xi and sc == again
+        vec = I_xi_vector(sc.xi, 3)
+        misses = engine._I_xi_vector.cache_info().misses
+        assert I_xi_vector(again.xi, 3) is vec
+        assert I_xi_vector(again.xi, 3, restrict_U1=False) is vec
+        assert engine._I_xi_vector.cache_info().misses == misses
+
+    def test_index_computed_once(self):
+        from genkl.extchars import neighborhood_index
+
+        index = SupercuspidalNbhd(make_sc(3, 1).xi, 1).index()
+        misses = neighborhood_index.cache_info().misses
+        assert SupercuspidalNbhd(make_sc(3, 1).xi, 1).index() == index
+        assert neighborhood_index.cache_info().misses == misses
+
+    def test_families_with_equal_fields_keep_separate_vectors(self):
+        cl = h_local_vector(Classical(3, 3), 3)
+        ne = h_local_vector(NelsonEq(3, 3), 3)
+        assert engine._H_VEC_CACHE[(Classical(3, 3), 3)] is cl
+        assert engine._H_VEC_CACHE[(NelsonEq(3, 3), 3)] is ne
+        # both are multiples of S(t,1;27): delta_p = nu(27) = 36 for the
+        # classical family, nu(27) - nu(9) = 24 for Nelson's
+        assert np.allclose(24 * cl, 36 * ne) and np.abs(cl).max() > 1
+
+
 class TestHLocal:
     def test_classical_values(self):
         tf = Classical(3, 1)

@@ -235,3 +235,26 @@ class TestPostnikov:
     def test_regime_guard(self, xi_unram3_c1):
         with pytest.raises(ValueError):
             postnikov_linearize(xi_unram3_c1, 0)
+
+
+class TestValueIdentity:
+    def test_equal_across_enumerations(self, ram3):
+        restr = eta_restriction(ram3)
+        first, second = enumerate_xi(ram3, 2, restr), enumerate_xi(ram3, 2, restr)
+        assert all(a is not b for a, b in zip(first, second))
+        assert first == second
+        assert [hash(a) for a in first] == [hash(b) for b in second]
+        assert len(set(first)) == len(first)
+
+    def test_uniformizer_phase_distinguishes(self, xi_ram3_c2):
+        xi = xi_ram3_c2
+        twin = ExtCharacter(xi.ext, xi.group, xi.exps, xi.unif_phase + Fraction(1, 2))
+        assert twin != xi
+        assert twin == ExtCharacter(xi.ext, xi.group, xi.exps, twin.unif_phase)
+
+    def test_neighborhood_classes_shared_and_immutable(self, xi_ram3_c2):
+        xi = xi_ram3_c2
+        copy = ExtCharacter(xi.ext, xi.group, xi.exps, xi.unif_phase)
+        reps = neighborhood_classes(xi, 2, 0)
+        assert isinstance(reps, tuple)
+        assert neighborhood_classes(copy, 2, 0) is reps

@@ -2,10 +2,14 @@
 agree to machine precision on identical inputs."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import genkl
 from genkl import kernels
 from genkl.quadext import standard_extensions
 from genkl.extchars import enumerate_xi, eta_restriction
@@ -14,10 +18,17 @@ from genkl.engine import xi_table
 BACKENDS = kernels.get_backends()
 
 
-def test_compiled_backend_present():
-    # the build is expected to produce the extension; the fallback keeps
-    # the package importable without it
-    assert "python" in BACKENDS
+def test_pure_python_flag_selects_fallback():
+    # perfbench pins the numpy fallback this way; a fresh interpreter,
+    # since the backend is chosen once at import
+    src = os.path.dirname(os.path.dirname(genkl.__file__))
+    env = dict(os.environ, GENKL_PURE_PYTHON="1", PYTHONPATH=src)
+    code = (
+        "import genkl; from genkl import kernels, _kernels_py; "
+        "assert genkl.BACKEND == 'python'; "
+        "assert kernels.dihedral_bucket is _kernels_py.dihedral_bucket"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def _totient(c):

@@ -66,7 +66,7 @@ def _unit_inverses(c: int):
 
 
 def classical_S(m: int, n: int, c: int) -> complex:
-    """S(m,n;c), batched through the kernel backend."""
+    """S(m,n;c) through kernels.kloosterman_many."""
     if c == 1:
         return 1.0 + 0.0j
     xs, xinvs = _unit_inverses(c)
@@ -299,14 +299,14 @@ def h_local(tf: LocalTestFunction, m: int, n: int, k: int) -> KloostermanValue:
     def out(value, reason=None):
         return KloostermanValue(complex(value), tf.tag, p, k, m, n, reason)
 
-    if isinstance(tf, Classical):
-        if k < tf.c:
+    if isinstance(tf, (Classical, NelsonEq)):
+        if k < tf.k_p():
             return out(0, "below-k_p")
-        return out(float(tf.delta_p()) * classical_S(m, n, pk))
-
-    if isinstance(tf, NelsonEq):
-        if k < tf.c - 1:
-            return out(0, "below-k_p")
+        if (m * n) % p:
+            # S(m,n;p^k) = S(mn,1;p^k) for a unit n: one cached vector
+            return out(h_local_vector(tf, k)[m * n % pk])
+        if isinstance(tf, Classical):
+            return out(float(tf.delta_p()) * classical_S(m, n, pk))
         return out(_nelson_value(tf, m, n, k))
 
     # the newform-projector families vanish off units and below k-thresholds

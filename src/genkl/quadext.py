@@ -147,12 +147,16 @@ class QuadExtension:
         return a % self.p != 0 or b % self.p != 0
 
     def units(self, k: int):
-        """All units of O_E/p^k O_E as pairs, lexicographic order."""
-        pk = self.p**k
+        """All units of O_E/p^k O_E as pairs, lexicographic order.
+
+        A row with p not dividing a is all units; the other rows hold
+        units only when E is unramified, at the b with p not dividing b.
+        """
+        p, pk = self.p, self.p**k
+        unit_bs = [b for b in range(pk) if b % p] if self.e == 1 else []
         for a in range(pk):
-            for b in range(pk):
-                if self.is_unit((a, b)):
-                    yield (a, b)
+            for b in range(pk) if a % p else unit_bs:
+                yield (a, b)
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,22 @@ class TestHLocal:
         assert abs(v.value - 4 * classical_S(1, 1, 3)) < 1e-12
         assert h_local(tf, 1, 1, 0).vanishing_reason == "below-k_p"
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("tf", [Classical(3, 2), NelsonEq(3, 3)], ids=["classical", "nelson"])
+    def test_unit_points_read_the_vector(self, tf, k):
+        # unit mn reads h_local_vector; the sums below are the per-point route
+        from genkl.engine import _nelson_value
+
+        pk = 3**k
+
+        def want(m, n):
+            if isinstance(tf, Classical):
+                return float(tf.delta_p()) * classical_S(m, n, pk) if k >= tf.c else 0
+            return _nelson_value(tf, m, n, k) if k >= tf.c - 1 else 0
+
+        for m, n in [(t, 1) for t in range(pk) if t % 3] + [(7, 5), (3, 6)]:
+            assert abs(h_local(tf, m, n, k).value - want(m, n)) < 1e-9
+
     def test_capacity_refused_before_any_table(self):
         from genkl.padic import CapacityError
 

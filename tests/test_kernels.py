@@ -1,34 +1,12 @@
-"""Backend equivalence: the compiled kernels and the numpy fallback must
-agree to machine precision on identical inputs."""
+"""The numpy kernels against their definitions, written out as plain loops."""
 
+import cmath
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import genkl
 from genkl import kernels
-from genkl.quadext import standard_extensions
-from genkl.extchars import enumerate_xi, eta_restriction
-from genkl.engine import xi_table
-
-BACKENDS = kernels.get_backends()
-
-
-def test_pure_python_flag_selects_fallback():
-    # perfbench pins the numpy fallback this way; a fresh interpreter,
-    # since the backend is chosen once at import
-    src = os.path.dirname(os.path.dirname(genkl.__file__))
-    env = dict(os.environ, GENKL_PURE_PYTHON="1", PYTHONPATH=src)
-    code = (
-        "import genkl; from genkl import kernels, _kernels_py; "
-        "assert genkl.BACKEND == 'python'; "
-        "assert kernels.dihedral_bucket is _kernels_py.dihedral_bucket"
-    )
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def _totient(c):
@@ -44,11 +22,9 @@ def _totient(c):
     return out
 
 
-@pytest.mark.parametrize("c", [2, 12, 360, 1000, 1009])
+@pytest.mark.parametrize("c", [2, 12, 360, 1000, 1009, 50000])
 def test_fallback_unit_inverses(c):
-    # the numpy fallback on its own: the parity class below needs both
-    # backends and skips without the compiled kernel
-    xs, xinvs = BACKENDS["python"].unit_inverses(c)
+    xs, xinvs = kernels.unit_inverses(c)
     assert xs.dtype == np.int64 and xinvs.dtype == np.int64
     assert np.all(np.diff(xs) > 0)
     assert all(math.gcd(int(x), c) == 1 for x in xs)
@@ -57,9 +33,27 @@ def test_fallback_unit_inverses(c):
     assert np.all(xs * xinvs % c == 1)
 
 
+def _kloosterman_definition(m, n, c, unit_pairs):
+    return sum(cmath.exp(2j * math.pi * ((m * x + n * xbar) % c) / c) for x, xbar in unit_pairs)
+
+
+@pytest.mark.parametrize("c", [5, 27, 64, 625, 1000, 50000])
+def test_kloosterman_many_matches_definition(c):
+    rng = np.random.default_rng(c)
+    ms = rng.integers(-50, 10**6, size=40)
+    ns = rng.integers(-50, 10**6, size=40)
+    # repeated values, so the distinct m and n are fewer than the pairs
+    ms[20:30], ns[25:35] = ms[:10], ns[:10]
+    xs, xinvs = kernels.unit_inverses(c)
+    got = kernels.kloosterman_many(ms, ns, c, xs, xinvs)
+    unit_pairs = [(x, pow(x, -1, c)) for x in range(1, c) if math.gcd(x, c) == 1]
+    want = [_kloosterman_definition(int(m), int(n), c, unit_pairs) for m, n in zip(ms, ns)]
+    assert np.abs(got - want).max() < 1e-9
+
+
 def _bucket_per_b(p, k, A, B, xi_table, m_red):
-    """dihedral_bucket written as one selection of units per b: the
-    reference for the fallback, which selects them once per class of b."""
+    """dihedral_bucket written as one selection of nonzero table entries
+    per b, summed over every pair (a, b) mod p^k: the reference."""
     pk, pm = p**k, p**m_red
     out = np.zeros(pk, dtype=np.complex128)
     table = np.exp(-2j * np.pi * np.arange(pk) / pk)
@@ -74,44 +68,61 @@ def _bucket_per_b(p, k, A, B, xi_table, m_red):
     return out
 
 
+def _units_only(p, A, B, xi_table, m_red):
+    """The table at level max(m_red, 1), zero on the non-unit classes
+    (Nm = 0 mod p), which dihedral_bucket never reads."""
+    if m_red == 0:
+        xi_table, m_red = np.full((p, p), xi_table[0, 0]), 1
+    a = np.arange(p**m_red)[:, None]
+    unit = (a * a - A * a * a.T + B * a.T * a.T) % p != 0
+    return np.where(unit, xi_table, 0), m_red
+
+
+def _assert_close(got, want):
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _random_table(rng, pm):
+    return rng.standard_normal((pm, pm)) + 1j * rng.standard_normal((pm, pm))
+
+
 @pytest.mark.parametrize("p, k, m_red", [(2, 6, 3), (3, 4, 2), (3, 2, 3), (5, 3, 1), (7, 2, 0)])
 def test_fallback_dihedral_bucket(p, k, m_red):
-    # same arithmetic in the same order, so the results agree bit for bit
     rng = np.random.default_rng(p * 100 + k * 10 + m_red)
     pm = p**m_red
-    xi = rng.standard_normal((pm, pm)) + 1j * rng.standard_normal((pm, pm))
+    xi = _random_table(rng, pm)
     xi[rng.random((pm, pm)) < 0.4] = 0
     for A, B in ((0, -1), (1, 1), (-2, p)):
-        got = BACKENDS["python"].dihedral_bucket(p, k, A, B, xi, m_red)
-        assert got.tobytes() == _bucket_per_b(p, k, A, B, xi, m_red).tobytes()
+        got = kernels.dihedral_bucket(p, k, A, B, xi, m_red)
+        _assert_close(got, _bucket_per_b(p, k, A, B, *_units_only(p, A, B, xi, m_red)))
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel not built")
-class TestBackendParity:
-    def test_unit_inverses(self):
-        for c in (1, 2, 12, 360, 1009):
-            if c == 1:
-                continue
-            xs_a, inv_a = BACKENDS["python"].unit_inverses(c)
-            xs_b, inv_b = BACKENDS["cython"].unit_inverses(c)
-            assert np.array_equal(xs_a, xs_b)
-            assert np.array_equal(inv_a, inv_b)
+def test_dihedral_bucket_level_zero_table():
+    p, k, A, B = 7, 2, 1, 1
+    xi = np.array([[0.6 - 0.8j]])
+    got = kernels.dihedral_bucket(p, k, A, B, xi, 0)
+    want = _bucket_per_b(p, k, A, B, *_units_only(p, A, B, xi, 0))
+    assert np.abs(want).max() > 1
+    _assert_close(got, want)
 
-    def test_kloosterman_many(self):
-        rng = np.random.default_rng(0)
-        for c in (5, 27, 64, 625, 1000):
-            xs, invs = BACKENDS["python"].unit_inverses(c)
-            ms = rng.integers(-50, 10**6, size=40)
-            ns = rng.integers(-50, 10**6, size=40)
-            a = BACKENDS["python"].kloosterman_many(ms, ns, c, xs, invs)
-            b = BACKENDS["cython"].kloosterman_many(ms, ns, c, xs, invs)
-            assert np.abs(np.asarray(a) - np.asarray(b)).max() < 1e-9
 
-    def test_dihedral_bucket(self):
-        for p, which, cxi, k in ((3, 0, 1, 3), (3, 1, 2, 3), (2, 0, 3, 4)):
-            ext = standard_extensions(p)[which]
-            xi = enumerate_xi(ext, cxi, eta_restriction(ext), regular_only=True)[0]
-            table = xi_table(xi)
-            a = BACKENDS["python"].dihedral_bucket(p, k, ext.A, ext.B, table, xi.group.M)
-            b = BACKENDS["cython"].dihedral_bucket(p, k, ext.A, ext.B, table, xi.group.M)
-            assert np.abs(np.asarray(a) - np.asarray(b)).max() < 1e-9
+def test_dihedral_bucket_ignores_nonunit_classes():
+    p, k, A, B, m_red = 3, 4, 1, 1, 2
+    rng = np.random.default_rng(1)
+    xi = _random_table(rng, p**m_red)
+    units, _ = _units_only(p, A, B, xi, m_red)
+    assert np.count_nonzero(units) < xi.size
+    got = kernels.dihedral_bucket(p, k, A, B, xi, m_red)
+    assert got.tobytes() == kernels.dihedral_bucket(p, k, A, B, units, m_red).tobytes()
+
+
+def test_dihedral_bucket_reuses_kernel_across_tables():
+    p, k, A, B, m_red = 5, 3, 0, 2, 1
+    rng = np.random.default_rng(2)
+    kernels._norm_trace_kernel.cache_clear()
+    for _ in range(2):
+        xi = _random_table(rng, p**m_red)
+        got = kernels.dihedral_bucket(p, k, A, B, xi, m_red)
+        _assert_close(got, _bucket_per_b(p, k, A, B, *_units_only(p, A, B, xi, m_red)))
+    info = kernels._norm_trace_kernel.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

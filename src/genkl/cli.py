@@ -298,7 +298,7 @@ def _suite_degeneration(p, failures):
             pk = p**k
             hv = engine.h_local_vector(tf, k)
             ts = [t for t in range(pk) if t % p]
-            sv = engine.classical_S_many(ts, [1] * len(ts), pk)
+            sv = engine.h_local_vector(Classical(p, 0), k)[ts]
             pref = float(tf.f_one() * zeta_p(p))
             err = max(abs(hv[t] - pref * s) for t, s in zip(ts, sv))
             ran += len(ts)

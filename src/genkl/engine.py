@@ -66,18 +66,16 @@ def _unit_inverses(c: int):
 
 
 def classical_S(m: int, n: int, c: int) -> complex:
-    """S(m,n;c) through kernels.kloosterman_many."""
-    if c == 1:
-        return 1.0 + 0.0j
-    xs, xinvs = _unit_inverses(c)
-    return complex(kernels.kloosterman_many([m], [n], c, xs, xinvs)[0])
+    """S(m,n;c) for one pair: the one-pair call of classical_S_many."""
+    return complex(classical_S_many([m], [n], c)[0])
 
 
 def classical_S_many(ms, ns, c: int) -> np.ndarray:
-    if c == 1:
-        return np.ones(len(ms), dtype=np.complex128)
-    xs, xinvs = _unit_inverses(c)
-    return np.asarray(kernels.kloosterman_many(ms, ns, c, xs, xinvs))
+    """S(m_i,n_i;c) for parallel arrays of m and n at one modulus c, by the
+    E F^T kernel.  S(t,1;p^k) at every t is one FFT: _classical_S_vector."""
+    if c < 1:
+        raise ValueError("c must be >= 1")
+    return kernels.kloosterman_many(ms, ns, c, *_unit_inverses(c))
 
 
 @lru_cache(maxsize=64)
@@ -94,15 +92,11 @@ def _twisted_S_vector(p: int, k: int, psi: DirichletCharacter | None) -> np.ndar
     q = p**k
     if q == 1:
         return np.ones(1, dtype=np.complex128)
+    ws, wbars = _unit_inverses(q)
     h = np.zeros(q, dtype=np.complex128)
-    for w in range(1, q):
-        if w % p == 0:
-            continue
-        wbar = pow(w, -1, q)
-        val = e(wbar, q)
-        if psi is not None:
-            val *= psi(wbar)
-        h[w] = val
+    h[ws] = np.exp(2j * np.pi * wbars / q)
+    if psi is not None:
+        h[ws] *= psi.values()[wbars % psi.modulus]
     return q * np.fft.ifft(h)
 
 
@@ -257,8 +251,8 @@ def h_local_vector(tf: LocalTestFunction, k: int) -> np.ndarray:
             chi = tf.chi.extend(k) if tf.chi.modulus_exponent < k else tf.chi
             chi2 = chi * chi
             tvec = _twisted_S_vector(p, k, chi2)
-            units = np.array([t for t in range(pk) if t % p], dtype=np.int64)
-            chibar = np.array([chi(int(t)).conjugate() for t in units])
+            units = _unit_inverses(pk)[0]
+            chibar = chi.values()[units].conjugate()
             vec[units] = float(tf.delta_p()) * chibar * tvec[units]
     elif isinstance(tf, Supercuspidal):
         vec = np.zeros(pk, dtype=np.complex128)
@@ -676,13 +670,19 @@ def _stationary_E_gauss(
                 for (a, b) in cands
                 for (sa, sb) in _layer_shifts(ext, lv, k)
             ]
+        # x is stationary when psi_c(1 + tau) == psi_E(x tau / p^k) for every
+        # generator tau of valuation j; the left side does not depend on x
+        eqs = [
+            (tau, _composed_phase(alpha_bar, xi, ((1 + tau[0]) % pk, tau[1] % pk), k))
+            for tau in _layer_generators(ext, j, k)
+        ]
         new_x = None
         for cand in cands:
             if not ext.is_unit(cand):
                 continue
             if all(
-                _stationary_eq_holds(alpha_bar, xi, cand, j, tau, k)
-                for tau in _layer_generators(ext, j, k)
+                Fraction(ext.trace(ext.mul(cand, tau, pk), pk), pk) % 1 == lhs
+                for tau, lhs in eqs
             ):
                 if new_x is not None and new_x != cand:
                     raise AssertionError("stationary point not unique")
@@ -698,17 +698,6 @@ def _stationary_E_gauss(
         ph = _composed_phase(alpha_bar, xi, u0, k)
         total += e(ph.numerator, ph.denominator) * e(-ext.trace(u0, pk), pk)
     return float(ext.q_E) ** (e_ * k - s) * total
-
-
-def _stationary_eq_holds(alpha_bar, xi, x, j, tau, k) -> bool:
-    """psi_c(1 + tau) == psi_E(x tau / p^k) as exact phases, v_E(tau) = j."""
-    ext = xi.ext
-    pk = ext.p**k
-    gen = ((1 + tau[0]) % pk, tau[1] % pk)
-    lhs = _composed_phase(alpha_bar, xi, gen, k)
-    prod = ext.mul(x, tau, pk)
-    rhs = Fraction(ext.trace(prod, pk), pk) % 1
-    return lhs == rhs
 
 
 def E_gauss_brute(alpha_bar: DirichletCharacter, xi: ExtCharacter, k: int) -> complex:

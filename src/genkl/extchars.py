@@ -83,10 +83,6 @@ class ExtCharacter:
             p_phase = 2 * self.unif_phase + self.unit_phase(_p_over_pi_sq(self.ext, pk))
         return (ph + v * p_phase) % 1
 
-    def value_at_base(self, x: Fraction | int) -> complex:
-        ph = self.base_phase_at(x)
-        return e(ph.numerator, ph.denominator)
-
     # -- structure ----------------------------------------------------------
 
     def conductor(self) -> int:
@@ -163,7 +159,6 @@ class ExtCharacter:
         if self.group is other.group or self.group.m == other.group.m:
             return self.exps == other.exps
         big, small = (self, other) if self.group.m > other.group.m else (other, self)
-        pk = big.group.pk
         return all(
             big.unit_phase(g) == small.unit_phase(g) for g in big.group.gens
         )

@@ -161,18 +161,6 @@ def _as_prime_power(q: int) -> tuple[int, int]:
     raise ValueError(f"{q} is not a prime power")
 
 
-def kloosterman_classical(m: int, n: int, c: int) -> complex:
-    """S(m,n;c) = sum over x mod c, (x,c)=1 of e((m x + n xbar)/c)."""
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    if c == 1:
-        return 1.0 + 0.0j
-    from . import kernels
-
-    xs, xinvs = kernels.unit_inverses(c)
-    return complex(kernels.kloosterman_many([m], [n], c, xs, xinvs)[0])
-
-
 def twisted_kloosterman(chi: "DirichletCharacter", m: int, n: int, q: int) -> complex:
     """S_chi(m,n;q) = sum over x mod q coprime of chi(x) e((m x + n xbar)/q).
 
@@ -315,6 +303,21 @@ class DirichletCharacter:
             den = den * o // math.gcd(den, o)
         num = sum(x * d_i * (den // o) for x, d_i, o in zip(self.exps, d, self.orders))
         return num % den, den
+
+    def values(self):
+        """chi(n) for every n mod p^k as a numpy array, zero off units."""
+        import numpy as np
+
+        den = math.lcm(*self.orders)
+        units = np.fromiter(self._dlog, dtype=np.int64, count=len(self._dlog))
+        dlogs = np.array(list(self._dlog.values()), dtype=np.int64)
+        weights = np.array(
+            [x * (den // o) for x, o in zip(self.exps, self.orders)], dtype=np.int64
+        )
+        out = np.zeros(self.modulus, dtype=np.complex128)
+        phases = dlogs.reshape(len(units), -1) @ weights % den
+        out[units] = np.exp(2j * np.pi * phases / den)
+        return out
 
     def phase(self, n: int):
         """Exact phase of chi(n) as a Fraction in [0,1); None off units."""

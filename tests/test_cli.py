@@ -181,6 +181,7 @@ class TestExitCodes:
         "bounds --family classical --p 3 --c 1 --k 25",
         "family-info --family supercuspidal --p 10007",
         "char-enum --p 10007 --cxi 1",
+        pytest.param("identities --suite stationary --p 10007", id="identities-stationary"),
     ], ids=lambda argv: argv.split()[0])
     def test_oversized_fails_fast(self, capsys, argv):
         import time

@@ -169,19 +169,24 @@ class TestHLocal:
         assert h_local(tf, 1, 1, 0).vanishing_reason == "below-k_p"
 
     @pytest.mark.parametrize("k", range(1, 6))
-    @pytest.mark.parametrize("tf", [Classical(3, 2), NelsonEq(3, 3)], ids=["classical", "nelson"])
+    @pytest.mark.parametrize(
+        "tf",
+        [Classical(3, 2), NelsonEq(3, 3), Classical(2, 2), Classical(5, 1)],
+        ids=["classical", "nelson", "classical-p2", "classical-p5"],
+    )
     def test_unit_points_read_the_vector(self, tf, k):
         # unit mn reads h_local_vector; the sums below are the per-point route
         from genkl.engine import _nelson_value
 
-        pk = 3**k
+        p = tf.p
+        pk = p**k
 
         def want(m, n):
             if isinstance(tf, Classical):
                 return float(tf.delta_p()) * classical_S(m, n, pk) if k >= tf.c else 0
             return _nelson_value(tf, m, n, k) if k >= tf.c - 1 else 0
 
-        for m, n in [(t, 1) for t in range(pk) if t % 3] + [(7, 5), (3, 6)]:
+        for m, n in [(t, 1) for t in range(pk) if t % p] + [(7, 5), (3, 6), (2, 4), (5, 10)]:
             assert abs(h_local(tf, m, n, k).value - want(m, n)) < 1e-9
 
     def test_capacity_refused_before_any_table(self):
@@ -195,21 +200,20 @@ class TestHLocal:
         with pytest.raises(CapacityError):
             I_xi_vector(sc.xi, 25)
 
-    def test_ps_definition(self):
+    @pytest.mark.parametrize("p, c", [(3, 2), (5, 1), (2, 4)])
+    def test_ps_definition(self, p, c):
         # H(m,n) = delta_p sum over xy = mn of chibar(x) chi(y) e((x+y)/p^k)
-        tf = make_ps(3, 2)
+        tf = make_ps(p, c)
         chi = tf.chi
         from genkl.padic import e
 
-        for k in (2, 3):
-            pk = 3**k
+        for k in (c, c + 1):
+            pk = p**k
             chik = chi.extend(k) if chi.modulus_exponent < k else chi
-            for m, n in ((1, 1), (2, 1), (4, 7 % pk or 1)):
-                if (m * n) % 3 == 0:
-                    continue
+            for m, n in [(t, 1) for t in range(pk) if t % p] + [(7, 11)]:
                 brute = 0j
                 for x in range(1, pk):
-                    if x % 3 == 0:
+                    if x % p == 0:
                         continue
                     y = m * n % pk * pow(x, -1, pk) % pk
                     brute += chik(x).conjugate() * chik(y) * e(x + y, pk)

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genkl.engine import classical_S, classical_S_many
 from genkl.padic import (
     DirichletCharacter,
     INF_VALUATION,
@@ -13,7 +14,6 @@ from genkl.padic import (
     gauss_sum_at_level,
     hensel_sqrt_set,
     hilbert_symbol,
-    kloosterman_classical,
     legendre_symbol,
     nu,
     phi_pk,
@@ -100,9 +100,14 @@ class TestRamanujan:
 
 class TestKloosterman:
     def test_examples(self):
-        assert abs(kloosterman_classical(1, 1, 1) - 1) < 1e-12
-        assert abs(kloosterman_classical(1, 1, 2) - 1) < 1e-12
-        assert abs(kloosterman_classical(1, 1, 3) + 1) < 1e-12
+        assert abs(classical_S(1, 1, 1) - 1) < 1e-12
+        assert abs(classical_S(1, 1, 2) - 1) < 1e-12
+        assert abs(classical_S(1, 1, 3) + 1) < 1e-12
+        for c in (0, -3):
+            with pytest.raises(ValueError, match="c must be >= 1"):
+                classical_S(1, 1, c)
+            with pytest.raises(ValueError, match="c must be >= 1"):
+                classical_S_many([1], [1], c)
 
     def test_brute_grid(self):
         # every prime power p^k with p <= 7, k <= 3, all m, n mod p^k;
@@ -115,14 +120,12 @@ class TestKloosterman:
                 if c <= 27:
                     for m in range(c):
                         for n in range(c):
-                            got = kloosterman_classical(m, n, c)
+                            got = classical_S(m, n, c)
                             assert abs(got - brute_kloosterman(m, n, c)) < 1e-12
                     continue
                 table = np.exp(2j * np.pi * np.arange(c) / c)
                 xs = np.array([x for x in range(1, c) if math.gcd(x, c) == 1])
                 xinvs = np.array([pow(int(x), -1, c) for x in xs])
-                from genkl.engine import classical_S_many
-
                 ms, ns = np.meshgrid(np.arange(c), np.arange(c), indexing="ij")
                 got = classical_S_many(ms.ravel(), ns.ravel(), c)
                 oracle = np.zeros(c * c, dtype=np.complex128)
@@ -134,8 +137,8 @@ class TestKloosterman:
            st.sampled_from([4, 9, 27, 25, 8]))
     @settings(max_examples=60)
     def test_symmetry_and_weil(self, m, n, c):
-        s1 = kloosterman_classical(m, n, c)
-        s2 = kloosterman_classical(n, m, c)
+        s1 = classical_S(m, n, c)
+        s2 = classical_S(n, m, c)
         assert abs(s1 - s2) < 1e-10
         p = 2 if c % 2 == 0 else (3 if c % 3 == 0 else 5)
         k = round(math.log(c, p))
@@ -147,7 +150,7 @@ class TestTwisted:
     def test_trivial_reduces_to_classical(self):
         chi = DirichletCharacter.trivial(3)
         got = twisted_kloosterman(chi, 1, 1, 3)
-        assert abs(got - kloosterman_classical(1, 1, 3)) < 1e-12
+        assert abs(got - classical_S(1, 1, 3)) < 1e-12
 
     def test_order4_vs_brute(self):
         chi = next(c for c in enumerate_dirichlet(5, 1) if c.order() == 4)
@@ -215,6 +218,13 @@ class TestDirichletGroup:
                 for y in range(1, q):
                     if x % p and y % p:
                         assert abs(chi(x * y) - chi(x) * chi(y)) < 1e-12
+
+    @pytest.mark.parametrize("p,k", [(3, 2), (5, 1), (2, 4), (2, 1), (7, 0)])
+    def test_values_table_matches_calls(self, p, k):
+        for chi in enumerate_dirichlet(p, k):
+            table = chi.values()
+            assert len(table) == p**k
+            assert all(abs(table[n] - chi(n)) < 1e-12 for n in range(p**k))
 
     def test_plancherel_on_characters(self):
         # (1/phi(q)) sum_chi |sum_m f(m) conj(chi(m))|^2 = sum_m |f(m)|^2

@@ -378,6 +378,8 @@ def cmd_petersson_verify(args):
     from .petersson import ingest_eigendata, ratio_verify
 
     kappas = [int(k) for k in args.kappa.split(",")]
+    if args.mmax < 1:
+        raise ValueError("--mmax must be >= 1")
     pairs = [(m, n) for m in range(1, args.mmax + 1) for n in range(1, args.mmax + 1)]
     eigen = None
     if args.eigen_cache:

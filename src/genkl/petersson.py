@@ -2,7 +2,7 @@
 
 The geometric side has one path at every level: a table of H(m,n;c) over
 the admissible moduli c = k(F), 2k(F), ... <= c_max for a list of pairs,
-built once by engine.h_global_many, then summed against J-Bessel weights
+built once by engine.h_global_table, then summed against J-Bessel weights
 pair by pair in ascending c with Kahan compensation.  Eigenvalue data
 comes from the eta-product / Eisenstein-series expansions (level 1), or
 from an append-only JSONL cache that is validated on ingest.  Only
@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import jv
 
-from .engine import GlobalTestFunction, h_global_many
+from .engine import GlobalTestFunction, h_global_table
 
 # weights with dim S_kappa(SL_2(Z)) = 1
 ONE_DIMENSIONAL_WEIGHTS = (12, 16, 18, 20, 22, 26)
@@ -235,27 +235,31 @@ def _h_table(gtf: GlobalTestFunction, pairs, c_max: int) -> np.ndarray:
     """H(m,n;c) with one row per admissible modulus c <= c_max and one
     column per pair.  The sums do not depend on the weight, so one table
     serves every kappa."""
+    if c_max < 1:
+        raise ValueError("c_max must be >= 1")
     ms, ns = np.array(pairs, dtype=np.int64).T
-    rows = [h_global_many(gtf, ms, ns, c) for c in _moduli(gtf, c_max)]
-    return np.array(rows, dtype=np.complex128).reshape(-1, len(pairs))
+    return h_global_table(gtf, ms, ns, _moduli(gtf, c_max))
 
 
 def _geometric_side(
     gtf: GlobalTestFunction, kappa: int, pairs, table: np.ndarray, c_max: int
 ) -> np.ndarray:
     """The geometric side for every pair from the table built by _h_table;
-    each pair is summed in ascending c with Kahan compensation."""
+    each pair is summed in ascending c with Kahan compensation.  The
+    J-Bessel weight depends on the pair only through mn, so it is
+    evaluated once per distinct product."""
     ms, ns = np.array(pairs, dtype=np.int64).T
     delta_inf = (kappa - 1) / (4 * math.pi)
     diag = np.where(ms == ns, delta_inf * float(gtf.delta_fin), 0.0)
     pref = (kappa - 1) / 2 * (1j) ** (-kappa)
-    xs = 4 * math.pi * np.sqrt(ms * ns)
+    products, col = np.unique(ms * ns, return_inverse=True)
+    xs = 4 * math.pi * np.sqrt(products)
     cs = np.array(_moduli(gtf, c_max), dtype=np.float64)[:, None]
     total = np.zeros(len(pairs), dtype=np.complex128)
     comp = np.zeros(len(pairs), dtype=np.complex128)
     for lo in range(0, len(cs), _BLOCK):
         c = cs[lo : lo + _BLOCK]
-        for term in pref * table[lo : lo + _BLOCK] / c * jv(kappa - 1, xs / c):
+        for term in pref * table[lo : lo + _BLOCK] / c * jv(kappa - 1, xs / c)[:, col]:
             y = term - comp
             t = total + y
             comp = (t - total) - y
@@ -303,6 +307,8 @@ def ratio_verify(
     for kappa in kappas:
         if kappa not in ONE_DIMENSIONAL_WEIGHTS:
             raise ValueError(f"dim S_kappa != 1 for kappa = {kappa}")
+    if len(pairs) == 0:
+        raise ValueError("pairs is empty: give at least one (m, n)")
     report = {"max_deviation": 0.0, "entries": []}
     n_need = max(max(m, n) for m, n in pairs)
     batch = [(1, 1), *pairs]

@@ -182,6 +182,7 @@ class TestExitCodes:
         "family-info --family supercuspidal --p 10007",
         "char-enum --p 10007 --cxi 1",
         pytest.param("identities --suite stationary --p 10007", id="identities-stationary"),
+        "petersson-verify --cmax 1000000000",
     ], ids=lambda argv: argv.split()[0])
     def test_oversized_fails_fast(self, capsys, argv):
         import time
@@ -191,6 +192,16 @@ class TestExitCodes:
         assert code == 3
         assert time.perf_counter() - t0 < 1.0
         assert capsys.readouterr().err.startswith("capacity exceeded: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        ("petersson-verify --cmax 0", "c_max must be >= 1"),
+        ("petersson-verify --cmax -5", "c_max must be >= 1"),
+        ("petersson-verify --mmax 0", "--mmax must be >= 1"),
+    ])
+    def test_petersson_bad_limits_are_one(self, capsys, argv, message):
+        code = main(argv.split())
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_capacity_is_three(self, capsys):
         code = main(["char-enum", "--p", "13", "--ext", "unramified",

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from genkl.padic import enumerate_dirichlet
+from genkl.padic import CapacityError, enumerate_dirichlet
 from genkl.quadext import standard_extensions
 from genkl.extchars import enumerate_xi, eta_restriction, sigma_conductor
 from genkl.families import (
@@ -28,6 +28,7 @@ from genkl.engine import (
     dihedral_sum_I,
     h_global,
     h_global_many,
+    h_global_table,
     h_local,
     h_local_vector,
     h_local_vector_definitional,
@@ -315,6 +316,47 @@ class TestHGlobal:
             many = h_global_many(gtf, ms, ns, c)
             one = [h_global(gtf, m, n, c) for m, n in zip(ms, ns)]
             assert np.allclose(many, one, rtol=0, atol=1e-12)
+
+    def test_table_matches_kernel_rows(self):
+        # every c <= 300 against the E F^T kernel; (4, 6), (9, 3), (10, 10),
+        # (8, 8), (12, 18) and (0, 6) share a prime with many moduli
+        pairs = [(1, 1), (2, 3), (4, 6), (9, 3), (10, 10), (8, 8), (7, 1),
+                 (12, 18), (25, 5), (0, 6), (5, 7)]
+        ms, ns = np.array(pairs).T
+        cs = np.arange(1, 301)
+        table = h_global_table(GlobalTestFunction(()), ms, ns, cs)
+        assert table.shape == (len(cs), len(pairs))
+        for c, row in zip(cs.tolist(), table):
+            assert np.allclose(row, classical_S_many(ms, ns, c), rtol=0, atol=1e-9), c
+
+    def test_table_matches_many_at_level(self):
+        gtf = GlobalTestFunction((make_sc(3, 0), Classical(2, 1)))
+        ms, ns = [1, 5, 7, 11, 13, 10, 15], [1, 1, 5, 25, 35, 25, 35]
+        cs = [1, 6, 12, 30, 84, 150, 270, 294, 5 * 7 * 24]
+        table = h_global_table(gtf, ms, ns, cs)
+        for c, row in zip(cs, table):
+            assert np.allclose(row, h_global_many(gtf, ms, ns, c), rtol=0, atol=1e-12)
+            # the assembly over the whole modulus c_0 with the E F^T kernel
+            c0 = c
+            while c0 % 2 == 0 or c0 % 3 == 0:
+                c0 //= 2 if c0 % 2 == 0 else 3
+            cN = c // c0
+            cbar_N, cbar_0 = pow(cN, -1, c0), pow(c0, -1, gtf.level * cN)
+            want = classical_S_many([cbar_N * m for m in ms], [cbar_N * n for n in ns], c0)
+            for tf in gtf.locals:
+                k = 0
+                while cN % tf.p ** (k + 1) == 0:
+                    k += 1
+                want = want * [h_local(tf, m * cbar_0, n * cbar_0, k).value for m, n in zip(ms, ns)]
+            assert np.allclose(row, want, rtol=0, atol=1e-9), c
+
+    def test_table_guards(self):
+        gtf = GlobalTestFunction(())
+        with pytest.raises(ValueError):
+            h_global_table(gtf, [1], [1], [5, 0])
+        with pytest.raises(CapacityError):
+            h_global_table(gtf, [1, 2], [1, 1], range(1, 10**7))
+        assert h_global_table(gtf, [1, 2], [1, 1], []).shape == (0, 2)
 
     def test_twisted_multiplicativity_random(self):
         gtf = GlobalTestFunction((make_sc(3, 0), Classical(2, 1)))

@@ -152,6 +152,17 @@ class TestGeometric:
         with pytest.raises(ValueError):
             petersson_geometric(gtf, 12, 3, 1, 100)
 
+    def test_cmax_below_one_rejected(self):
+        for c_max in (0, -5):
+            with pytest.raises(ValueError, match="c_max"):
+                ratio_verify([12], [(1, 2)], c_max=c_max)
+            with pytest.raises(ValueError, match="c_max"):
+                petersson_geometric(GlobalTestFunction(()), 12, 1, 2, c_max)
+
+    def test_empty_pairs_rejected(self):
+        with pytest.raises(ValueError, match="pairs"):
+            ratio_verify([12], [], c_max=50)
+
     def test_weight_guards(self):
         with pytest.raises(ValueError):
             petersson_geometric(GlobalTestFunction(()), 13, 1, 1, 50)

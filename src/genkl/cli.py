@@ -308,7 +308,6 @@ def _suite_degeneration(p, failures):
 
 
 def _suite_averaging(p, failures):
-    from .extchars import sigma_conductor
     from .families import twist_minimal_conductor
 
     ran = 0
@@ -329,8 +328,6 @@ def _suite_averaging(p, failures):
 
 
 def _suite_stationary(p, failures):
-    from .extchars import sigma_conductor
-
     ran = 0
     for tf in _sc_families(p):
         xi = tf.xi

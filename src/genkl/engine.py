@@ -26,6 +26,7 @@ import numpy as np
 from . import kernels
 from .padic import (
     GROUP_CAPACITY,
+    PAIR_CAPACITY,
     CapacityError,
     DirichletCharacter,
     check_capacity,
@@ -114,15 +115,10 @@ def _twisted_S_vector(p: int, k: int, psi: DirichletCharacter | None) -> np.ndar
 @cache
 def xi_table(xi: ExtCharacter, /) -> np.ndarray:
     """2D table of xi over pairs (a, b) mod p^M, zero off units."""
-    ext, G = xi.ext, xi.group
-    pM = G.pk
-    table = np.zeros((pM, pM), dtype=np.complex128)
-    for a in range(pM):
-        for b in range(pM):
-            if not ext.is_unit((a, b)):
-                continue
-            ph = xi.unit_phase((a, b))
-            table[a, b] = e(ph.numerator, ph.denominator)
+    G = xi.group
+    table = np.zeros((G.pk, G.pk), dtype=np.complex128)
+    for u in xi.ext.units(G.M):
+        table[u] = xi(u)
     return table
 
 
@@ -130,7 +126,10 @@ def I_xi_vector(xi: ExtCharacter, k: int, restrict_U1: bool = False) -> np.ndarr
     """I_xi(t, p^k) for every t mod p^k: sums of xi(u) psi(-Tr(u)/p^k) over
     the norm fiber of t, bucketed in one pass over the units.  With
     restrict_U1 the units are cut to U_E(1) (p = 2 unramified use)."""
-    check_capacity(xi.ext.p, k)
+    p = xi.ext.p
+    check_capacity(p, k)
+    if p ** (2 * k) > PAIR_CAPACITY:
+        raise CapacityError(f"dihedral sum over {p}^{2 * k} pairs exceeds capacity")
     return _I_xi_vector(xi, k, restrict_U1)
 
 
@@ -152,8 +151,7 @@ def dihedral_sum_I(ext: QuadExtension, xi: ExtCharacter, m: int, k: int) -> comp
     pk = ext.p**k
     total = 0j
     for u in norm_fiber(ext, k, m):
-        ph = xi.unit_phase(u.pair)
-        total += e(ph.numerator, ph.denominator) * e(-u.trace(), pk)
+        total += xi(u.pair) * e(-u.trace(), pk)
     return total
 
 
@@ -447,8 +445,10 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
     n cbar_0; p^{v_p(c)}).  For q not dividing gcd(m,n) the factor at q is
     S(mn sbar^2, 1; q^e), one entry of the cached FFT vector
     _classical_S_vector(q, e); for q | gcd(m,n) it is S(m, n sbar^2; q^e),
-    one classical_S_many call per prime power.  Zero whenever c misses the
-    geometric conductor.
+    one classical_S_many call per prime power.  Likewise, at a ramified p
+    not dividing mn the factor is the entry mn cbar_0^2 of the cached
+    h_local_vector(tf, v_p(c)); only a non-unit mn calls h_local.  Zero
+    whenever c misses the geometric conductor.
     """
     if len(cs) * len(ms) > GROUP_CAPACITY:
         raise CapacityError(f"H table of {len(cs)} moduli x {len(ms)} pairs exceeds capacity")
@@ -476,14 +476,22 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
             n2 = np.multiply.outer(sbar2, ns[cols] % qe) % qe
             m2 = np.broadcast_to(ms[cols], n2.shape)
             table[np.ix_(rows, cols)] *= classical_S_many(m2.ravel(), n2.ravel(), qe).reshape(n2.shape)
-    if gtf.locals:
-        pairs = list(zip(ms.tolist(), ns.tolist()))
-        for row, (c, c_0) in enumerate(zip(cs.tolist(), c0.tolist())):
-            cN = c // c_0
-            cbar_0 = pow(c_0, -1, gtf.level * cN)
-            for tf in gtf.locals:
-                v = valuation(cN, tf.p)
-                table[row] *= [h_local(tf, m * cbar_0, n * cbar_0, v).value for m, n in pairs]
+    for tf in gtf.locals:
+        p = tf.p
+        vs = np.array([valuation(c // c_0, p) for c, c_0 in zip(cs.tolist(), c0.tolist())])
+        unit = (ms % p != 0) & (ns % p != 0)
+        cols = np.flatnonzero(unit)
+        for v in np.unique(vs).tolist():
+            rows = np.flatnonzero(vs == v)
+            pv = p**v
+            cbar = np.array([pow(c_0, -1, pv) for c_0 in c0[rows].tolist()], dtype=np.int64)
+            mn = ms[cols] % pv * (ns[cols] % pv) % pv
+            idx = np.multiply.outer(cbar * cbar % pv, mn) % pv
+            table[np.ix_(rows, cols)] *= h_local_vector(tf, v)[idx]
+        cbars = [pow(c_0, -1, gtf.level * (c // c_0)) for c, c_0 in zip(cs.tolist(), c0.tolist())]
+        for col in np.flatnonzero(~unit).tolist():
+            m, n = int(ms[col]), int(ns[col])
+            table[:, col] *= [h_local(tf, m * cb, n * cb, v).value for cb, v in zip(cbars, vs.tolist())]
     return table
 
 
@@ -644,15 +652,21 @@ def _tame_units(ext: QuadExtension, k: int):
     ]
 
 
+def _composed_L(alpha_bar: DirichletCharacter, xi: ExtCharacter) -> int:
+    """The modulus of the phases of (alpha_bar o Nm) xi."""
+    return math.lcm(alpha_bar.L, xi.group.L)
+
+
 def _composed_phase(
     alpha_bar: DirichletCharacter, xi: ExtCharacter, pair: tuple[int, int], k: int
-) -> Fraction:
-    """Exact phase of (alpha_bar o Nm) xi at a unit pair mod p^k."""
+) -> int:
+    """Exact phase of (alpha_bar o Nm) xi at a unit pair mod p^k, an
+    integer mod _composed_L(alpha_bar, xi)."""
     ext = xi.ext
     prec = ext.p ** max(k, alpha_bar.modulus_exponent, 1)
+    L = _composed_L(alpha_bar, xi)
     ph_a = alpha_bar.phase(ext.norm(pair, prec))
-    assert ph_a is not None
-    return (ph_a + xi.unit_phase(pair)) % 1
+    return (ph_a * (L // alpha_bar.L) + xi.unit_phase(pair) * (L // xi.group.L)) % L
 
 
 def _mellin_closed_sc(tf: Supercuspidal, alpha: DirichletCharacter, k: int) -> complex:
@@ -711,7 +725,9 @@ def _stationary_E_gauss(
     congruent to x mod p_E^r survive."""
     ext = xi.ext
     p, e_, d = ext.p, ext.e, ext.d
+    check_capacity(p, k)
     pk = p**k
+    L = _composed_L(alpha_bar, xi)
     c_prime = e_ * k - d
     s = -(-(e_ * k) // 2)
     r = max(e_ * k - s + c_psi_E(ext), 0)
@@ -726,7 +742,8 @@ def _stationary_E_gauss(
                 for (sa, sb) in _layer_shifts(ext, lv, k)
             ]
         # x is stationary when psi_c(1 + tau) == psi_E(x tau / p^k) for every
-        # generator tau of valuation j; the left side does not depend on x
+        # generator tau of valuation j, i.e. lhs / L == Tr(x tau) / p^k; the
+        # left side does not depend on x
         eqs = [
             (tau, _composed_phase(alpha_bar, xi, ((1 + tau[0]) % pk, tau[1] % pk), k))
             for tau in _layer_generators(ext, j, k)
@@ -735,10 +752,7 @@ def _stationary_E_gauss(
         for cand in cands:
             if not ext.is_unit(cand):
                 continue
-            if all(
-                Fraction(ext.trace(ext.mul(cand, tau, pk), pk), pk) % 1 == lhs
-                for tau, lhs in eqs
-            ):
+            if all(ext.trace(ext.mul(cand, tau, pk), pk) * L == lhs * pk for tau, lhs in eqs):
                 if new_x is not None and new_x != cand:
                     raise AssertionError("stationary point not unique")
                 new_x = cand
@@ -750,22 +764,19 @@ def _stationary_E_gauss(
         u0 = ((x[0] + da) % pk, (x[1] + db) % pk)
         if not ext.is_unit(u0):
             continue
-        ph = _composed_phase(alpha_bar, xi, u0, k)
-        total += e(ph.numerator, ph.denominator) * e(-ext.trace(u0, pk), pk)
+        total += e(_composed_phase(alpha_bar, xi, u0, k), L) * e(-ext.trace(u0, pk), pk)
     return float(ext.q_E) ** (e_ * k - s) * total
 
 
 def E_gauss_brute(alpha_bar: DirichletCharacter, xi: ExtCharacter, k: int) -> complex:
     """Full-sum oracle for _stationary_E_gauss (small k only)."""
     ext = xi.ext
+    check_capacity(ext.p, k)
     pk = ext.p**k
+    L = _composed_L(alpha_bar, xi)
     total = 0j
-    for a in range(pk):
-        for b in range(pk):
-            if not ext.is_unit((a, b)):
-                continue
-            ph = _composed_phase(alpha_bar, xi, (a, b), k)
-            total += e(ph.numerator, ph.denominator) * e(-ext.trace((a, b), pk), pk)
+    for u in ext.units(k):
+        total += e(_composed_phase(alpha_bar, xi, u, k), L) * e(-ext.trace(u, pk), pk)
     return total
 
 
@@ -777,6 +788,7 @@ def stationary_phase_R(xi: ExtCharacter, k: int, u0: tuple[int, int]) -> float:
     """Closed form for R_{k,xi}(b), the oscillatory integral over du with
     v_E(du) >= ek/2 and the norm congruence at u0 = a + b alpha0."""
     ext = xi.ext
+    check_capacity(ext.p, k)
     c_sigma = sigma_conductor(xi)
     if k < max(-(-c_sigma // 2), 2):
         raise ValueError("need k >= max(ceil(c(sigma)/2), 2)")
@@ -812,6 +824,7 @@ def stationary_phase_R_brute(
     with array arithmetic; the scalar reference loop below cross-checks
     it in the unit tests."""
     ext = xi.ext
+    check_capacity(ext.p, k)
     p, e_ = ext.p, ext.e
     pk = p**k
     a_step = p ** (-(-k // 2))
@@ -844,6 +857,7 @@ def stationary_phase_R_brute_scalar(
 ) -> complex:
     """Plain-loop reference for stationary_phase_R_brute."""
     ext = xi.ext
+    check_capacity(ext.p, k)
     p, e_ = ext.p, ext.e
     pk = p**k
     a_step = p ** (-(-k // 2))
@@ -858,8 +872,7 @@ def stationary_phase_R_brute_scalar(
                 continue
             ratio = ext.mul((da, db), u0_inv, pk)
             one_plus = ((1 + ratio[0]) % pk, ratio[1] % pk)
-            ph = xi.unit_phase(one_plus)
-            total += e(ph.numerator, ph.denominator) * e(-ext.trace((da, db), pk), pk)
+            total += xi(one_plus) * e(-ext.trace((da, db), pk), pk)
     return total * float(p) ** (-2 * k)
 
 
@@ -878,12 +891,7 @@ def stationary_decomposition_check(xi: ExtCharacter, m: int, k: int) -> tuple[co
         lifts.setdefault(key, u.pair)
     rhs = 0j
     for u0 in lifts.values():
-        ph = xi.unit_phase(u0)
-        rhs += (
-            e(ph.numerator, ph.denominator)
-            * e(-ext.trace(u0, pk), pk)
-            * stationary_phase_R(xi, k, u0)
-        )
+        rhs += xi(u0) * e(-ext.trace(u0, pk), pk) * stationary_phase_R(xi, k, u0)
     return lhs, rhs * float(p) ** (2 * k)
 
 

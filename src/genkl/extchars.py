@@ -2,9 +2,13 @@
 
 A character is a pair (unit part, uniformizer value): the unit part is an
 exponent vector against the canonical generators of (O_E/p_E^m)^*, the
-uniformizer value a root of unity stored as an exact phase in [0,1).
-Conductors, restrictions to Q_p^x, Galois twists, neighborhoods xi[n] and
-the Postnikov linearization all operate on this data.
+uniformizer value a root of unity stored as an exact Fraction in [0,1).
+On units, xi(u) = e(unit_phase(u), L) with an integer phase mod L, the
+exponent of the unit group; two phases with different L are compared by
+cross-multiplying, and a unit phase becomes a Fraction only where it
+joins the uniformizer phase.  Conductors, restrictions to Q_p^x, Galois
+twists, neighborhoods xi[n] and the Postnikov linearization all operate
+on this data.
 
 Derived invariants are memoized with functools.cache on positional-only
 arguments, so each value has one cache key.
@@ -23,12 +27,6 @@ from .quadext import EXCEEDS_PRECISION, QuadExtension, UnitGroup, eta_char, unit
 def c_psi_E(ext: QuadExtension) -> int:
     """Conductor exponent of psi_E = psi o Tr for psi of conductor 0."""
     return 0 if ext.e == 1 else -ext.d
-
-
-def psi_E(ext: QuadExtension, pair: tuple[int, int], denom_exp: int) -> complex:
-    """psi(Tr(x)/p^W) for x = pair at ring precision >= denom_exp."""
-    pw = ext.p**denom_exp
-    return e(ext.trace(pair, pw), pw)
 
 
 class ExtCharacter:
@@ -50,6 +48,8 @@ class ExtCharacter:
         self.ext = ext
         self.group = group
         self.exps = tuple(x % o for x, o in zip(exps, group.orders))
+        # unit_phase(u) = <weights, dlog(u)> mod group.L
+        self._weights = tuple(x * (group.L // o) for x, o in zip(self.exps, group.orders))
         self.unif_phase = Fraction(unif_phase) % 1
         self._conductor: int | None = None
         self._key = (ext, group.m, self.exps, self.unif_phase)
@@ -57,16 +57,13 @@ class ExtCharacter:
 
     # -- evaluation ---------------------------------------------------------
 
-    def unit_phase(self, pair: tuple[int, int]) -> Fraction:
+    def unit_phase(self, pair: tuple[int, int]) -> int:
+        """Exact phase of xi at a unit pair, an integer mod group.L."""
         d = self.group.dlog(pair)
-        return sum(
-            (Fraction(x * di, o) for x, di, o in zip(self.exps, d, self.group.orders)),
-            Fraction(0),
-        ) % 1
+        return sum(w * di for w, di in zip(self._weights, d)) % self.group.L
 
     def __call__(self, pair: tuple[int, int]) -> complex:
-        ph = self.unit_phase(pair)
-        return e(ph.numerator, ph.denominator)
+        return e(self.unit_phase(pair), self.group.L)
 
     def base_phase_at(self, x: Fraction | int) -> Fraction:
         """Exact phase of xi on Q_p^x embedded in E^x."""
@@ -75,12 +72,14 @@ class ExtCharacter:
         u = x / Fraction(self.ext.p) ** v
         pk = self.group.pk
         u_res = u.numerator * pow(u.denominator, -1, pk) % pk
-        ph = self.unit_phase(self.group.embed_base_unit(u_res))
+        L = self.group.L
+        ph = Fraction(self.unit_phase(self.group.embed_base_unit(u_res)), L)
         if self.ext.e == 1:
             p_phase = self.unif_phase
         else:
             # p = pi_E^2 * wtilde
-            p_phase = 2 * self.unif_phase + self.unit_phase(_p_over_pi_sq(self.ext, pk))
+            wt = Fraction(self.unit_phase(_p_over_pi_sq(self.ext, pk)), L)
+            p_phase = 2 * self.unif_phase + wt
         return (ph + v * p_phase) % 1
 
     # -- structure ----------------------------------------------------------
@@ -115,28 +114,26 @@ class ExtCharacter:
 
     def galois_twist(self) -> "ExtCharacter":
         """xi^sigma = xi o (a + b alpha0 -> (a - A b) - b alpha0)."""
-        exps = []
-        pk = self.group.pk
-        for g, o in zip(self.group.gens, self.group.orders):
-            ph = self.unit_phase(self.ext.conj(g, pk))
-            exps.append(int(ph * o))
-            assert ph * o == int(ph * o), "conjugate not a character of the group"
+        G, pk = self.group, self.group.pk
+        exps = [
+            _exponent(self.unit_phase(self.ext.conj(g, pk)), G.L, o)
+            for g, o in zip(G.gens, G.orders)
+        ]
         if self.ext.e == 1:
             unif = self.unif_phase
         else:
             u0 = _pi_sigma_over_pi(self.ext, pk)
-            unif = self.unif_phase + self.unit_phase(u0)
-        return ExtCharacter(self.ext, self.group, tuple(exps), unif)
+            unif = self.unif_phase + Fraction(self.unit_phase(u0), G.L)
+        return ExtCharacter(self.ext, G, tuple(exps), unif)
 
     def restrict_to_base_units(self) -> DirichletCharacter:
         """xi on Z_p^x as a Dirichlet character mod p^M."""
         p, M = self.ext.p, self.group.M
         gens, orders, _ = unit_group_zpk(p, M)
-        exps = []
-        for g, o in zip(gens, orders):
-            ph = self.unit_phase(self.group.embed_base_unit(g))
-            assert ph * o == int(ph * o)
-            exps.append(int(ph * o))
+        exps = [
+            _exponent(self.unit_phase(self.group.embed_base_unit(g)), self.group.L, o)
+            for g, o in zip(gens, orders)
+        ]
         return DirichletCharacter(p, M, tuple(exps))
 
     def at_precision(self, m: int) -> "ExtCharacter":
@@ -146,22 +143,8 @@ class ExtCharacter:
         if m == self.group.m:
             return self
         G2 = unit_group(self.ext, m)
-        exps = []
-        for g, o in zip(G2.gens, G2.orders):
-            ph = self.unit_phase(g)
-            assert (ph * o).denominator == 1
-            exps.append(int(ph * o))
+        exps = [_exponent(self.unit_phase(g), self.group.L, o) for g, o in zip(G2.gens, G2.orders)]
         return ExtCharacter(self.ext, G2, tuple(exps), self.unif_phase)
-
-    def same_character(self, other: "ExtCharacter") -> bool:
-        if self.ext != other.ext or self.unif_phase != other.unif_phase:
-            return False
-        if self.group is other.group or self.group.m == other.group.m:
-            return self.exps == other.exps
-        big, small = (self, other) if self.group.m > other.group.m else (other, self)
-        return all(
-            big.unit_phase(g) == small.unit_phase(g) for g in big.group.gens
-        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExtCharacter) and self._key == other._key
@@ -174,6 +157,13 @@ class ExtCharacter:
             f"ExtCharacter({self.ext.label()}, m={self.group.m}, "
             f"exps={self.exps}, unif={self.unif_phase})"
         )
+
+
+def _exponent(ph: int, L: int, o: int) -> int:
+    """The exponent x with x/o = ph/L, for a phase of order dividing o."""
+    x, r = divmod(ph * o, L)
+    assert r == 0, "phase is not a character value of that order"
+    return x
 
 
 def _p_over_pi_sq(ext: QuadExtension, pk: int) -> tuple[int, int]:
@@ -215,11 +205,12 @@ def eta_restriction(ext: QuadExtension) -> BaseRestriction:
     """The restriction datum for eta_{E/F}."""
     p = ext.p
     j = 0 if ext.e == 1 else (1 if p != 2 else 3)
-    # find the character mod p^j matching the Hilbert-symbol values
-    want = {Fraction(0): 1, Fraction(1, 2): -1}
+    # find the character mod p^j matching the Hilbert-symbol values: phase
+    # 0 is +1 and phase 1/2 (2 * phase == L) is -1
     for chi in _quadratic_chars(p, j):
+        want = {0: 1, chi.L: -1}
         if all(
-            want[chi.phase(x)] == eta_char(ext, x)
+            want[2 * chi.phase(x)] == eta_char(ext, x)
             for x in range(1, max(p**j, 2))
             if x % p != 0
         ):
@@ -243,11 +234,11 @@ def _phases_match(xi: ExtCharacter, restr: BaseRestriction) -> bool:
         return False
     chi = prim.extend(M)
     gens, _, _ = unit_group_zpk(p, M)
-    for g in gens:
-        got = xi.unit_phase(xi.group.embed_base_unit(g))
-        if got != chi.phase(g):
-            return False
-    return True
+    L = xi.group.L
+    return all(
+        xi.unit_phase(xi.group.embed_base_unit(g)) * chi.L == chi.phase(g) * L
+        for g in gens
+    )
 
 
 def enumerate_xi(
@@ -289,7 +280,7 @@ def _unif_phases(ext, G, exps, at_p_phase: Fraction):
     if ext.e == 1:
         return [at_p_phase]
     probe = ExtCharacter(ext, G, exps, Fraction(0))
-    wt_phase = probe.unit_phase(_p_over_pi_sq(ext, G.pk))
+    wt_phase = Fraction(probe.unit_phase(_p_over_pi_sq(ext, G.pk)), G.L)
     base = (at_p_phase - wt_phase) / 2
     return [base % 1, (base + Fraction(1, 2)) % 1]
 
@@ -297,7 +288,7 @@ def _unif_phases(ext, G, exps, at_p_phase: Fraction):
 @cache
 def is_regular(xi: ExtCharacter, /) -> bool:
     """True iff xi does not factor through the norm, i.e. xi != xi^sigma."""
-    return not xi.same_character(xi.galois_twist())
+    return xi != xi.galois_twist()
 
 
 @cache
@@ -326,20 +317,15 @@ def compose_with_norm(
     if chi.modulus_exponent > w_n:
         raise ValueError("chi too deep for well-defined norms at this precision")
     pw = ext.p ** max(w_n, 1)
-    exps = []
-    for g, o in zip(G.gens, G.orders):
-        # zero-extension of the pair is a U_E(m)-perturbation, so the norm
-        # below is the canonical one
-        ph = chi.phase(ext.norm(g, pw))
-        assert ph is not None and (ph * o).denominator == 1
-        exps.append(int(ph * o))
+    # zero-extension of the pair is a U_E(m)-perturbation, so the norm
+    # below is the canonical one
+    exps = [_exponent(chi.phase(ext.norm(g, pw)), chi.L, o) for g, o in zip(G.gens, G.orders)]
     if ext.e == 1:
         # Nm(p) = p^2, chi(p) := 1
         unif = Fraction(0)
     else:
         # Nm(pi_E) = B = p * B'; chi(p) := 1 leaves chi(B')
-        unif = chi.phase(ext.B // ext.p)
-        assert unif is not None
+        unif = Fraction(chi.phase(ext.B // ext.p), chi.L)
     return ExtCharacter(ext, G, tuple(exps), unif)
 
 
@@ -406,7 +392,7 @@ def _theta_unif_phases(ext, G, exps):
     if ext.e == 1:
         return [Fraction(0)]
     probe = ExtCharacter(ext, G, exps, Fraction(0))
-    wt_phase = probe.unit_phase(_p_over_pi_sq(ext, G.pk))
+    wt_phase = Fraction(probe.unit_phase(_p_over_pi_sq(ext, G.pk)), G.L)
     base = -wt_phase / 2
     return [base % 1, (base + Fraction(1, 2)) % 1]
 
@@ -458,12 +444,6 @@ class PostnikovDatum:
         if self.x_pair == (0, 0):
             return EXCEEDS_PRECISION
         return self.ext.v_E(self.x_pair, self.denom_exp) - self.ext.e * self.denom_exp
-
-    def pairing(self, u_pair: tuple[int, int]) -> complex:
-        """psi_E(alpha * u) for u given mod p^denom_exp."""
-        pw = self.ext.p**self.denom_exp
-        prod = self.ext.mul(self.x_pair, u_pair, pw)
-        return e(self.ext.trace(prod, pw), pw)
 
     def trace_alpha0_alpha(self) -> tuple[int, int]:
         """Tr(alpha0 * alpha_xi) as (integer numerator mod p^W, W)."""
@@ -518,8 +498,8 @@ def _postnikov_match(xi, ext, x, W, u) -> bool:
     pw = ext.p**W
     prod = ext.mul(x, u, pw)
     lhs = xi.unit_phase(((1 + u[0]) % xi.group.pk, u[1] % xi.group.pk))
-    rhs = Fraction(ext.trace(prod, pw), pw) % 1
-    return lhs == rhs
+    # lhs / L == Tr(x u) / p^W, both reduced to [0, 1)
+    return lhs * pw == ext.trace(prod, pw) * xi.group.L
 
 
 def _filtration_elements(ext: QuadExtension, i: int, c: int) -> list[tuple[int, int]]:

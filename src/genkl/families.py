@@ -19,7 +19,6 @@ from .extchars import (
     ExtCharacter,
     eta_restriction,
     is_regular,
-    neighborhood,
     neighborhood_index,
     sigma_conductor,
 )

@@ -2,9 +2,11 @@
 
 Everything here is desk-scale: moduli are prime powers small enough that
 full discrete-log tables and brute-force sums are practical.  Complex
-values are double precision; root-of-unity arguments are reduced to [0,1)
-as exact fractions before calling exp, so phase error stays at machine
-level even for large numerators.
+values are double precision.  A character carries its phases as exact
+integers mod L, the exponent of its group (the lcm of the generator
+orders): chi(n) = e(phase, L), with the argument reduced mod L before the
+one float division, so phase error stays at machine level even for large
+numerators.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ INF_VALUATION = math.inf
 
 # Discrete-log tables are full maps; beyond this the module refuses.
 GROUP_CAPACITY = 10**7
+# Dihedral sums walk every pair (a, b) mod p^k; the largest walks recorded
+# are 2^26 (test suite) and 3^16 (klsum benchmark), 15x below this bound.
+PAIR_CAPACITY = 10**9
 
 
 class CapacityError(Exception):
@@ -268,7 +273,8 @@ def _is_primitive_root_mod_p(g: int, p: int) -> bool:
 class DirichletCharacter:
     """A character of (Z/p^k)^* stored as exponents against fixed generators.
 
-    chi(g_i) = exp(2 pi i exps[i]/orders[i]); chi is zero off units.
+    chi(g_i) = exp(2 pi i exps[i]/orders[i]); chi is zero off units.  With L
+    the lcm of the orders, chi(n) = e(phase(n), L) for an integer phase.
     """
 
     def __init__(self, p: int, k: int, exps: tuple[int, ...]):
@@ -281,6 +287,9 @@ class DirichletCharacter:
         self.gens = gens
         self.orders = orders
         self.exps = tuple(x % o for x, o in zip(exps, orders))
+        self.L = math.lcm(*orders)
+        # phase(n) = <weights, dlog(n)> mod L
+        self._weights = tuple(x * (self.L // o) for x, o in zip(self.exps, orders))
         self._dlog = dlog
         self._conductor_exponent: int | None = None
 
@@ -290,44 +299,27 @@ class DirichletCharacter:
         return cls(p, k, tuple(0 for _ in orders))
 
     def __call__(self, n: int) -> complex:
-        n %= self.modulus
-        d = self._dlog.get(n)
-        if d is None:
-            return 0j
-        num, den = self._phase(d)
-        return e(num, den)
-
-    def _phase(self, d: tuple[int, ...]) -> tuple[int, int]:
-        den = 1
-        for o in self.orders:
-            den = den * o // math.gcd(den, o)
-        num = sum(x * d_i * (den // o) for x, d_i, o in zip(self.exps, d, self.orders))
-        return num % den, den
+        ph = self.phase(n)
+        return 0j if ph is None else e(ph, self.L)
 
     def values(self):
         """chi(n) for every n mod p^k as a numpy array, zero off units."""
         import numpy as np
 
-        den = math.lcm(*self.orders)
         units = np.fromiter(self._dlog, dtype=np.int64, count=len(self._dlog))
         dlogs = np.array(list(self._dlog.values()), dtype=np.int64)
-        weights = np.array(
-            [x * (den // o) for x, o in zip(self.exps, self.orders)], dtype=np.int64
-        )
+        weights = np.array(self._weights, dtype=np.int64)
         out = np.zeros(self.modulus, dtype=np.complex128)
-        phases = dlogs.reshape(len(units), -1) @ weights % den
-        out[units] = np.exp(2j * np.pi * phases / den)
+        phases = dlogs.reshape(len(units), -1) @ weights % self.L
+        out[units] = np.exp(2j * np.pi * phases / self.L)
         return out
 
-    def phase(self, n: int):
-        """Exact phase of chi(n) as a Fraction in [0,1); None off units."""
-        from fractions import Fraction
-
+    def phase(self, n: int) -> int | None:
+        """Exact phase of chi(n) as an integer mod L; None off units."""
         d = self._dlog.get(n % self.modulus)
         if d is None:
             return None
-        num, den = self._phase(d)
-        return Fraction(num, den)
+        return sum(w * d_i for w, d_i in zip(self._weights, d)) % self.L
 
     def is_trivial(self) -> bool:
         return all(x == 0 for x in self.exps)
@@ -344,11 +336,7 @@ class DirichletCharacter:
     def _trivial_on_level(self, j: int) -> bool:
         q = self.modulus
         step = self.p**j
-        return all(
-            self._phase(self._dlog[x % q])[0] == 0
-            for x in range(1, q, step)
-            if x % self.p != 0
-        )
+        return all(self.phase(x) == 0 for x in range(1, q, step) if x % self.p != 0)
 
     @property
     def conductor(self) -> int:
@@ -390,9 +378,8 @@ class DirichletCharacter:
         gens, orders, _ = unit_group_zpk(self.p, k)
         exps = []
         for g, o in zip(gens, orders):
-            val = self._phase(self._dlog[g % self.modulus])
-            # chi(g) = e(val); solve exponent x with x/o = val
-            exps.append(val[0] * o // val[1])
+            # chi(g) = e(phase, L); solve exponent x with x/o = phase/L
+            exps.append(self.phase(g) * o // self.L)
         return DirichletCharacter(self.p, k, tuple(exps))
 
     def restrict_to_conductor(self) -> "DirichletCharacter":
@@ -400,9 +387,9 @@ class DirichletCharacter:
         gens, orders, _ = unit_group_zpk(self.p, c)
         exps = []
         for g, o in zip(gens, orders):
-            num, den = self._phase(self._dlog[g % self.modulus])
-            assert (num * o) % den == 0
-            exps.append(num * o // den)
+            num = self.phase(g) * o
+            assert num % self.L == 0
+            exps.append(num // self.L)
         return DirichletCharacter(self.p, c, tuple(exps))
 
     def __eq__(self, other) -> bool:

@@ -380,6 +380,8 @@ class UnitGroup:
         self._quotient_layer = e == 2 and m % 2 == 1
         self._build()
         assert self.order == order, (self.order, order)
+        # the group exponent: a character's phases are integers mod L
+        self.L = math.lcm(*self.orders)
 
     def _closed_form_order(self) -> int:
         p, e, m = self.ext.p, self.ext.e, self.m
@@ -408,7 +410,9 @@ class UnitGroup:
         raw_gens: list[tuple[int, int]] = []
         rel_steps: list[int] = []
         rel_tails: list[tuple[int, ...]] = []
-        for cand in self._element_candidates():
+        # units in the fixed lexicographic order of ext.units, which keeps
+        # generator choices stable
+        for cand in ext.units(self.M):
             cand = self._class_rep(cand)
             if cand in dlog_raw:
                 continue
@@ -479,16 +483,6 @@ class UnitGroup:
             want = tuple(int(i == j) for i in range(len(keep)))
             assert self.dlog_map[g] == want, "generator dlog mismatch"
 
-    def _element_candidates(self):
-        """Units in a deterministic order: residue-field part first, then
-        the one-unit layers (keeps generator choices stable)."""
-        ext, pk = self.ext, self.pk
-        p = ext.p
-        for a in range(pk):
-            for b in range(pk):
-                if ext.is_unit((a, b)):
-                    yield (a, b)
-
     # -- queries -----------------------------------------------------------
 
     def dlog(self, x: tuple[int, int]) -> tuple[int, ...]:
@@ -535,11 +529,8 @@ class UnitGroup:
             for i, u in enumerate(els):
                 dlog[i] = self.dlog_map[u]
                 depth[i] = self.depth(u)
-            L = 1
-            for o in self.orders:
-                L = L * o // math.gcd(L, o)
-            weights = _np.array([L // o for o in self.orders], dtype=_np.int64)
-            self._np_tables = (els, dlog, depth, L, weights)
+            weights = _np.array([self.L // o for o in self.orders], dtype=_np.int64)
+            self._np_tables = (els, dlog, depth, self.L, weights)
         return self._np_tables
 
 

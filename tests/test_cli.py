@@ -176,6 +176,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         "klsum --family classical --p 3 --c 2 --k 25",
+        pytest.param("klsum --family supercuspidal --p 3 --ext unramified --cxi 1 --k 12",
+                     id="klsum-dihedral"),
         "identities --suite degeneration --p 10007",
         "mellin --family classical --p 3 --c 1 --k 25",
         "bounds --family classical --p 3 --c 1 --k 25",

@@ -536,6 +536,27 @@ class TestStationaryPhase:
         with pytest.raises(ValueError):
             stationary_phase_R(xi_unram3_c1, 1, (1, 0))
 
+    @pytest.mark.parametrize("name", [
+        "stationary_phase_R",
+        "stationary_phase_R_brute",
+        "stationary_phase_R_brute_scalar",
+        "_stationary_E_gauss",
+        "E_gauss_brute",
+    ])
+    def test_oversized_fails_fast(self, xi_unram3_c1, name):
+        import time
+
+        # alpha_bar mod 3 builds at once; only the modulus 3^25 is oversized
+        alpha_bar = enumerate_dirichlet(3, 1)[1]
+        args = {
+            "_stationary_E_gauss": (alpha_bar, xi_unram3_c1, 25),
+            "E_gauss_brute": (alpha_bar, xi_unram3_c1, 25),
+        }.get(name, (xi_unram3_c1, 25, (1, 0)))
+        t0 = time.perf_counter()
+        with pytest.raises(CapacityError):
+            getattr(engine, name)(*args)
+        assert time.perf_counter() - t0 < 1.0
+
 
 class TestAveraging:
     def test_singleton_radius_trivial(self, xi_ram3_c2):

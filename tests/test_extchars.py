@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from genkl.padic import DirichletCharacter, enumerate_dirichlet
+from genkl.padic import DirichletCharacter, e, enumerate_dirichlet, unit_group_zpk
 from genkl.quadext import standard_extensions, unit_group
 from genkl.extchars import (
     BaseRestriction,
@@ -26,6 +26,57 @@ def all_group_chars(ext, m):
     G = unit_group(ext, m)
     for exps in itertools.product(*(range(o) for o in G.orders)):
         yield ExtCharacter(ext, G, exps, Fraction(0))
+
+
+def fraction_phase(exps, dlog, orders) -> Fraction:
+    """The phase sum(x_i d_i / o_i) mod 1 in exact fractions."""
+    return sum((Fraction(x * d, o) for x, d, o in zip(exps, dlog, orders)), Fraction(0)) % 1
+
+
+class TestPhaseFormat:
+    """Integer phases mod L against the fraction sum, and the values they
+    give against e() of the reduced fraction."""
+
+    @pytest.mark.parametrize("p,which,m", [(3, 0, 2), (3, 1, 3), (5, 2, 1), (2, 0, 3), (2, 3, 3)])
+    def test_unit_phase(self, p, which, m):
+        ext = standard_extensions(p)[which]
+        G = unit_group(ext, m)
+        if ext.e == 2:
+            assert G._quotient_layer  # odd m: classes mod the extra layer
+        for xi in all_group_chars(ext, m):
+            for u in G.elements():
+                want = fraction_phase(xi.exps, G.dlog(u), G.orders)
+                got = xi.unit_phase(u)
+                assert type(got) is int and 0 <= got < G.L
+                assert Fraction(got, G.L) == want
+                assert xi(u) == e(want.numerator, want.denominator)
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 5), (3, 3), (5, 2)])
+    def test_dirichlet_phase(self, p, k):
+        _, orders, dlog = unit_group_zpk(p, k)
+        for chi in enumerate_dirichlet(p, k):
+            for n in range(p**k):
+                got = chi.phase(n)
+                if n not in dlog:
+                    assert got is None and chi(n) == 0
+                    continue
+                want = fraction_phase(chi.exps, dlog[n], orders)
+                assert type(got) is int and 0 <= got < chi.L
+                assert Fraction(got, chi.L) == want
+                assert chi(n) == e(want.numerator, want.denominator)
+
+    def test_compose_with_norm_unif_phase(self):
+        # Nm(pi_E) = 10 = 5 * 2 on x^2 - 10, so the uniformizer phase is chi(2)
+        ext = standard_extensions(5)[2]
+        assert (ext.e, ext.B) == (2, 10)
+        G = unit_group(ext, 2)
+        _, orders, dlog = unit_group_zpk(5, 1)
+        for chi in enumerate_dirichlet(5, 1):
+            want = fraction_phase(chi.exps, dlog[2], orders)
+            assert compose_with_norm(chi, ext, G).unif_phase == want
+        # 2 generates (Z/5)^*, so the order-4 character takes 2 to e(1/4)
+        chi = DirichletCharacter(5, 1, (1,))
+        assert compose_with_norm(chi, ext, G).unif_phase == Fraction(1, 4)
 
 
 class TestConductor:
@@ -80,7 +131,7 @@ class TestEnumerate:
                 lhs = xi.unit_phase(u) + xi.unit_phase(xi.ext.conj(u, G.pk))
                 nrm = xi.ext.norm(u, G.pk)
                 rhs = xi.unit_phase(G.embed_base_unit(nrm))
-                assert (lhs - rhs) % 1 == 0
+                assert (lhs - rhs) % G.L == 0
 
 
 class TestRegular:

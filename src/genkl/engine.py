@@ -124,7 +124,7 @@ def xi_table(xi: ExtCharacter, /) -> np.ndarray:
 
 def I_xi_vector(xi: ExtCharacter, k: int, restrict_U1: bool = False) -> np.ndarray:
     """I_xi(t, p^k) for every t mod p^k: sums of xi(u) psi(-Tr(u)/p^k) over
-    the norm fiber of t, bucketed in one pass over the units.  With
+    the norm fiber of t, from the cached norm/trace kernel.  With
     restrict_U1 the units are cut to U_E(1) (p = 2 unramified use)."""
     p = xi.ext.p
     check_capacity(p, k)
@@ -447,8 +447,9 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
     _classical_S_vector(q, e); for q | gcd(m,n) it is S(m, n sbar^2; q^e),
     one classical_S_many call per prime power.  Likewise, at a ramified p
     not dividing mn the factor is the entry mn cbar_0^2 of the cached
-    h_local_vector(tf, v_p(c)); only a non-unit mn calls h_local.  Zero
-    whenever c misses the geometric conductor.
+    h_local_vector(tf, v_p(c)).  At p | mn PrincipalSeries, Supercuspidal
+    and SupercuspidalNbhd vanish, so only Classical and NelsonEq call
+    h_local there.  Zero whenever c misses the geometric conductor.
     """
     if len(cs) * len(ms) > GROUP_CAPACITY:
         raise CapacityError(f"H table of {len(cs)} moduli x {len(ms)} pairs exceeds capacity")
@@ -488,6 +489,11 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
             mn = ms[cols] % pv * (ns[cols] % pv) % pv
             idx = np.multiply.outer(cbar * cbar % pv, mn) % pv
             table[np.ix_(rows, cols)] *= h_local_vector(tf, v)[idx]
+        if not isinstance(tf, (Classical, NelsonEq)):
+            # the newform projectors vanish at p | mn (h_local's non-unit-mn
+            # and below-k_p); multiplying by 0j keeps h_local's signed zeros
+            table[:, ~unit] *= 0j
+            continue
         cbars = [pow(c_0, -1, gtf.level * (c // c_0)) for c, c_0 in zip(cs.tolist(), c0.tolist())]
         for col in np.flatnonzero(~unit).tolist():
             m, n = int(ms[col]), int(ns[col])

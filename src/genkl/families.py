@@ -2,8 +2,9 @@
 
 Families are closed-form data: the diagonal weight delta_p, the value
 f_p(1), the level exponent and the local geometric conductor all come from
-explicit tables, with a scan-based verifier for the conductor.  The
-defining group-level functions are represented only through these
+explicit tables, with a scan-based verifier for the conductor.  Families
+hash by value, and delta_p and f_one are computed once per family value.
+The defining group-level functions are represented only through these
 evaluated consequences.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from .padic import DirichletCharacter, nu
 from .extchars import (
@@ -22,6 +23,11 @@ from .extchars import (
     neighborhood_index,
     sigma_conductor,
 )
+
+
+# f_one and delta_p, memoized by family value; 256 entries hold the 122
+# distinct supercuspidal families of the acceptance and engine tests
+_per_family = lru_cache(maxsize=256)
 
 
 def zeta_p(p: int) -> Fraction:
@@ -44,9 +50,11 @@ class Classical:
     def tag(self) -> str:
         return "classical"
 
+    @_per_family
     def f_one(self) -> Fraction:
         return Fraction(nu(self.p**self.c))
 
+    @_per_family
     def delta_p(self) -> Fraction:
         return self.f_one()
 
@@ -88,9 +96,11 @@ class PrincipalSeries:
     def c_chi(self) -> int:
         return self.chi.conductor_exponent()
 
+    @_per_family
     def f_one(self) -> Fraction:
         return Fraction(nu(self.p**self.c_chi))
 
+    @_per_family
     def delta_p(self) -> Fraction:
         return self.f_one() / (1 - Fraction(1, self.p))
 
@@ -162,6 +172,7 @@ class Supercuspidal:
     def d(self) -> int:
         return self.ext.d
 
+    @_per_family
     def f_one(self) -> Fraction:
         p, c0 = self.p, self.c0
         if p != 2:
@@ -172,6 +183,7 @@ class Supercuspidal:
             return (1 - Fraction(1, p * p)) * p ** (c0 + 2)
         return (1 - Fraction(1, p * p)) * p ** (c0 + 1)
 
+    @_per_family
     def delta_p(self) -> Fraction:
         return zeta_p(self.p) * self.f_one()
 
@@ -248,9 +260,11 @@ class SupercuspidalNbhd:
     def index(self) -> int:
         return neighborhood_index(self.xi, self.n, self.a)
 
+    @_per_family
     def f_one(self) -> Fraction:
         return self.index() * self.base.f_one()
 
+    @_per_family
     def delta_p(self) -> Fraction:
         return self.index() * zeta_p(self.p) * self.base.f_one()
 
@@ -280,10 +294,12 @@ class NelsonEq:
     def tag(self) -> str:
         return "nelson-eq"
 
+    @_per_family
     def f_one(self) -> Fraction:
         p, c = self.p, self.c
         return nu(p**c) * (1 - Fraction(1, p)) ** 2
 
+    @_per_family
     def delta_p(self) -> Fraction:
         return self.p**self.c * (1 - Fraction(1, self.p * self.p))
 

@@ -1,6 +1,14 @@
 """The hot kernels, in numpy: unit inverses, batched classical Kloosterman
 sums and the norm-bucketed dihedral sums.
 
+The dihedral sums never walk the p^(2k) pairs (a, b) mod p^k.  Each unit
+class mod p^M is lifted as a = x + p^M i, b = y + p^M j; after the change
+of variable a' = a - (A/2) b for even A, the norm of a lift is separable in
+(i, j) up to a per-class shift, so the class's norm/trace sums are one
+cyclic convolution over Z/p^(k-M), taken by FFT.  For odd A (only the
+unramified extension of Q_2) the cross term depends on i mod p^(k-2M)
+alone, and i is split by that residue into separable pieces.
+
 Temporaries are built a block of rows at a time, about _BLOCK elements and
 at least one row, so memory does not grow with the modulus beyond the
 tables that are returned or cached.
@@ -92,8 +100,9 @@ def dihedral_bucket(p: int, k: int, A: int, B: int, xi_table, m_red: int) -> np.
     xi_table is a p^m_red x p^m_red complex array holding xi at the classes
     (a mod p^m_red, b mod p^m_red); only unit classes are read.  Nm = a^2 -
     A a b + B b^2, Tr = 2a - A b for the minimal polynomial x^2 + A x + B.
-    The sum is xi at the unit classes against the cached, character-free
-    kernel of _norm_trace_kernel.
+    The sum is one contraction of xi at the unit classes mod p^M against
+    the cached, character-free kernel of _norm_trace_kernel, which holds
+    each class's norm/trace sums over its lifts as FFT convolutions.
     """
     # classes mod p^M with 1 <= M <= k decide whether u is a unit
     M = min(max(m_red, 1), k)
@@ -117,30 +126,73 @@ def _norm_trace_kernel(p: int, k: int, A: int, B: int, M: int):
     its class is.  The norm is a homomorphism on units, so every residue it
     reaches has the same number of classes.  Two kernels are kept, since
     callers alternate between k and k + 1.
+
+    No pair (a, b) mod p^k is visited.  For even A the substitution
+    a' = a - (A/2) b turns the form into Nm = a'^2 + B' b^2, B' = B - A^2/4,
+    with Tr = 2a'; for odd A (only the unramified extension of Q_2) a' = a.
+    Write the form as a'^2 - A' a' b + B' b^2, so A' = 0 for even A.  A class
+    (x, y) in these coordinates lifts as a' = x + p^M i, b = y + p^M j with
+    i, j mod n = p^(k-M), and
+
+        (Nm - s) / p^M = shift + f(i) + g(j) - A' p^M i j   (mod n),
+        f(i) = (2x - A' y) i + p^M i^2,  g(j) = (2B' y - A' x) j + B' p^M j^2,
+
+    while e(-Tr(u)/p^k) = e(-(2x - A' y)/p^k) e(-2i/n) e(A' j/n).  For even
+    A the norm is separable in (i, j), so a class's row is the cyclic
+    convolution over Z/n of an i-histogram weighted by e(-2i/n) with a
+    j-histogram, taken by FFT: one FFT per distinct f and per distinct g
+    (at most p^M each), then one inverse FFT per class.  For odd A the
+    cross term depends on i mod p^L only, L = max(0, k - 2M), so i is split
+    by that residue, and the spectra of the p^L separable pieces, whose
+    j-weights carry e(A j/n), are summed before the inverse FFT.  The work
+    is about p^(k+M) log n, times p^L for odd A, instead of p^(2k).
     """
-    pk, pm = p**k, p**M
-    width = p ** (k - M)
+    pk, pm, n = p**k, p**M, p ** (k - M)
     classes = np.arange(pm * pm, dtype=np.int64)
     ca, cb = classes // pm, classes % pm
     t0 = (ca * ca - A * ca * cb + B * cb * cb) % pm
     cls = np.flatnonzero(t0 % p)
     cls = cls[np.argsort(t0[cls], kind="stable")]
     residues = np.unique(t0[cls])
-    # offset of each class's row in W; every non-unit class goes to one spare row
-    row = np.full(pm * pm, len(cls) * width, dtype=np.int64)
-    row[cls] = np.arange(len(cls)) * width
-    a = np.arange(pk, dtype=np.int64)
-    a_sq, a_cls = a * a % pk, a % pm * pm
-    # Tr(u) = 2a - Ab, so e(-Tr(u)/p^k) = e(-2a/p^k) e(Ab/p^k)
-    w_a = np.exp(-4j * np.pi * a / pk)
-    acc = np.zeros((len(cls) + 1) * width, dtype=np.complex128)
-    rows = max(1, _BLOCK // pk)
-    for b0 in range(0, pk, rows):
-        b = np.arange(b0, min(b0 + rows, pk), dtype=np.int64)[:, None]
-        norm = (a_sq + (-A * b % pk) * a + B * b * b % pk) % pk
-        idx = row[a_cls + b % pm] + norm // pm
-        w = w_a * np.exp(2j * np.pi * (A * b % pk) / pk)
-        np.add.at(acc, idx.ravel(), w.ravel())
+    # a = a' + h b turns the form into a'^2 - (A - 2h) a' b + (B - A h + h^2) b^2;
+    # from here on A and B are A' and B'
+    h = A // 2 if A % 2 == 0 else 0
+    A, B = A - 2 * h, B - A * h + h * h
+    x, y = (ca[cls] - h * cb[cls]) % pm, cb[cls]
+    shift = (x * x - A * x * y + B * y * y - t0[cls]) // pm % n
+    tr = 2 * x - A * y
+    phase = np.exp(-2j * np.pi * (tr % pk) / pk)
+    f_coef, f_row = np.unique(tr % n, return_inverse=True)
+    g_base = 2 * B * y - A * x
+    L = max(0, k - 2 * M) if A else 0
+    j = np.arange(n, dtype=np.int64)
+    g_weight = np.exp(2j * np.pi * A * j / n)
+    W = np.zeros((len(cls), n), dtype=np.complex128)
+    rows = max(1, _BLOCK // n)
+    for rho in range(p**L):
+        i = np.arange(rho, n, p**L, dtype=np.int64)
+        F = _fiber_spectra(f_coef, pm, i, np.exp(-4j * np.pi * i / n), n)
+        g_coef, g_row = np.unique((g_base - A * pm * rho) % n, return_inverse=True)
+        G = _fiber_spectra(g_coef, B * pm, j, g_weight, n)
+        for c in range(0, len(cls), rows):
+            W[c:c + rows] += F[f_row[c:c + rows]] * G[g_row[c:c + rows]]
+    for c in range(0, len(cls), rows):
+        conv = np.fft.ifft(W[c:c + rows], axis=1)
+        lag = (j - shift[c:c + rows, None]) % n
+        W[c:c + rows] = phase[c:c + rows, None] * np.take_along_axis(conv, lag, axis=1)
     shape = (len(residues), len(cls) // max(1, len(residues)))
-    W = acc[: len(cls) * width].reshape(*shape, width)
-    return cls.reshape(shape), residues, W
+    return cls.reshape(shape), residues, W.reshape(*shape, n)
+
+
+def _fiber_spectra(coef, quad: int, idx, weight, n: int) -> np.ndarray:
+    """Row r is the DFT over Z/n of the histogram that puts weight[t] at
+    (coef[r] idx[t] + quad idx[t]^2) mod n; built in row blocks."""
+    out = np.empty((len(coef), n), dtype=np.complex128)
+    sq = quad * (idx * idx % n)
+    rows = max(1, _BLOCK // n)
+    for r in range(0, len(coef), rows):
+        pos = (np.multiply.outer(coef[r:r + rows], idx) + sq) % n
+        hist = np.zeros((len(pos), n), dtype=np.complex128)
+        np.add.at(hist, (np.arange(len(pos))[:, None], pos), np.broadcast_to(weight, pos.shape))
+        out[r:r + rows] = np.fft.fft(hist, axis=1)
+    return out

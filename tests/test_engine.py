@@ -350,6 +350,30 @@ class TestHGlobal:
                 want = want * [h_local(tf, m * cbar_0, n * cbar_0, k).value for m, n in zip(ms, ns)]
             assert np.allclose(row, want, rtol=0, atol=1e-9), c
 
+    @pytest.mark.parametrize("tf", [make_sc(3, 0), make_ps(5, 1)], ids=["sc-level-9", "ps-level-25"])
+    def test_table_skips_h_local_at_nonunit_mn(self, tf, monkeypatch):
+        # coprime pairs, so no unramified prime divides gcd(m, n), and
+        # some of them with p | mn
+        pairs = [(m, n) for m in range(1, 10) for n in range(1, 10) if np.gcd(m, n) == 1]
+        ms, ns = np.array(pairs).T
+        cs = np.arange(1, 667)
+        gtf = GlobalTestFunction((tf,))
+        unit = (ms * ns) % tf.p != 0
+        assert 0 < np.count_nonzero(~unit) < len(pairs)
+        for m, n in zip(ms[~unit].tolist(), ns[~unit].tolist()):
+            for k in range(tf.level_exponent() + 2):
+                assert h_local(tf, m, n, k).value == 0
+        units_only = h_global_table(gtf, ms[unit], ns[unit], cs)
+
+        def no_call(*args):
+            raise AssertionError("h_local called for a newform projector")
+
+        monkeypatch.setattr(engine, "h_local", no_call)
+        table = h_global_table(gtf, ms, ns, cs)
+        assert np.count_nonzero(table[:, unit]) > 0
+        assert np.array_equal(table[:, unit], units_only)
+        assert not table[:, ~unit].any()
+
     def test_table_guards(self):
         gtf = GlobalTestFunction(())
         with pytest.raises(ValueError):

@@ -74,6 +74,28 @@ class TestConstructors:
             NelsonEq(3, 2)
 
 
+class TestDeltaP:
+    """delta_p and f_one pinned for one member of each family, and computed
+    once per family value: an equal family returns the same object."""
+
+    @pytest.mark.parametrize(
+        "build, f_one, delta_p",
+        [
+            (lambda: Classical(3, 2), Fraction(12), Fraction(12)),
+            (lambda: make_ps(5, 2), Fraction(30), Fraction(75, 2)),
+            (lambda: make_sc(3), Fraction(2), Fraction(3)),
+            (lambda: SupercuspidalNbhd(make_sc(3, 1).xi, 1), Fraction(8), Fraction(12)),
+            (lambda: NelsonEq(3, 3), Fraction(16), Fraction(24)),
+        ],
+    )
+    def test_pinned_and_computed_once(self, build, f_one, delta_p):
+        tf = build()
+        assert tf.f_one() == f_one and tf.delta_p() == delta_p
+        again = build()
+        assert again is not tf and again == tf
+        assert again.f_one() is tf.f_one() and again.delta_p() is tf.delta_p()
+
+
 class TestFOne:
     def test_classical(self):
         assert Classical(3, 2).f_one() == 12  # nu(9)

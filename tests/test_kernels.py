@@ -86,7 +86,13 @@ def _random_table(rng, pm):
     return rng.standard_normal((pm, pm)) + 1j * rng.standard_normal((pm, pm))
 
 
-@pytest.mark.parametrize("p, k, m_red", [(2, 6, 3), (3, 4, 2), (3, 2, 3), (5, 3, 1), (7, 2, 0)])
+# The cases with k > 2M + 1 give each class many lifts, and with A = 1 they
+# exercise the kernel's split of i by its residue mod p^(k-2M).  At p = 2
+# the sums vanish identically at (k, M) = (8, 1) and (9, 2), where a
+# relative tolerance would compare rounding with rounding, so those are
+# left out
+@pytest.mark.parametrize("p, k, m_red", [(2, 6, 3), (3, 4, 2), (3, 2, 3), (5, 3, 1), (7, 2, 0),
+                                         (2, 8, 2), (2, 10, 3), (3, 6, 1), (5, 4, 1), (7, 3, 1)])
 def test_fallback_dihedral_bucket(p, k, m_red):
     rng = np.random.default_rng(p * 100 + k * 10 + m_red)
     pm = p**m_red
@@ -126,3 +132,37 @@ def test_dihedral_bucket_reuses_kernel_across_tables():
         _assert_close(got, _bucket_per_b(p, k, A, B, *_units_only(p, A, B, xi, m_red)))
     info = kernels._norm_trace_kernel.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def _classes_by_norm(p, A, B, M):
+    """The unit classes a * p^M + b mod p^M in rows by norm residue,
+    ascending in each row, and the residues ascending."""
+    pm = p**M
+    rows = {}
+    for a in range(pm):
+        for b in range(pm):
+            s = (a * a - A * a * b + B * b * b) % pm
+            if s % p:
+                rows.setdefault(s, []).append(a * pm + b)
+    residues = sorted(rows)
+    return np.array([rows[s] for s in residues]), np.array(residues)
+
+
+@pytest.mark.parametrize("p, k, A, B, M", [(2, 7, 1, 1, 2), (2, 6, -2, 2, 2), (2, 5, 0, -1, 5),
+                                           (3, 4, 0, -1, 1), (3, 3, 0, 3, 2), (5, 3, 0, 2, 1)])
+def test_norm_trace_kernel_layout(p, k, A, B, M):
+    kernels._norm_trace_kernel.cache_clear()
+    cls, residues, W = kernels._norm_trace_kernel(p, k, A, B, M)
+    want_cls, want_residues = _classes_by_norm(p, A, B, M)
+    assert np.array_equal(cls, want_cls) and np.array_equal(residues, want_residues)
+    # W[g, c, j]: e(-Tr(u)/p^k) summed over the lifts u of class cls[g, c]
+    # with Nm(u) = j p^M + residues[g], over every pair (a, b) mod p^k
+    pk, pm = p**k, p**M
+    a, b = np.divmod(np.arange(pk * pk), pk)
+    norm = (a * a - A * a * b + B * b * b) % pk
+    phase = np.exp(-2j * np.pi * ((2 * a - A * b) % pk) / pk)
+    want = np.zeros((pm * pm, pk), dtype=np.complex128)
+    np.add.at(want, ((a % pm) * pm + b % pm, norm), phase)
+    want = want[cls[..., None], residues[:, None, None] + pm * np.arange(pk // pm)]
+    assert W.shape == want.shape
+    _assert_close(W, want)

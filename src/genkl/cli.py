@@ -272,15 +272,12 @@ def cmd_identities(args):
 
 
 def _sc_families(p, max_c_sigma=4):
-    from .extchars import sigma_conductor
+    from .extchars import seed_conductors, sigma_conductor
 
     out = []
     for ext in standard_extensions(p):
         restr = eta_restriction(ext)
-        cands = [1, 2] if ext.e == 1 else [2]
-        if p == 2:
-            cands = [5] if ext.e == 1 else [8]
-        for c in cands:
+        for c in seed_conductors(ext):
             for xi in enumerate_xi(ext, c, restr, regular_only=True):
                 if p != 2 and sigma_conductor(xi) > max_c_sigma:
                     continue

@@ -44,6 +44,7 @@ from .extchars import (
     eta_restriction,
     neighborhood_classes,
     postnikov_linearize,
+    seed_conductors,
     sigma_conductor,
 )
 from .families import (
@@ -167,11 +168,7 @@ def _eta_p(ext: QuadExtension) -> int:
 
 def _minimal_valid_xi(ext: QuadExtension) -> ExtCharacter:
     restr = eta_restriction(ext)
-    if ext.p != 2:
-        cands = [1, 2] if ext.e == 1 else [2]
-    else:
-        cands = [5] if ext.e == 1 else [8]
-    for c in cands:
+    for c in seed_conductors(ext):
         xs = enumerate_xi(ext, c, restr, regular_only=True)
         if xs:
             return xs[0]
@@ -243,44 +240,51 @@ def h_local_vector(tf: LocalTestFunction, k: int) -> np.ndarray:
         return _H_VEC_CACHE[key]
     p = tf.p
     pk = p**k
-    if isinstance(tf, Classical):
-        if k < tf.c:
-            vec = np.zeros(pk, dtype=np.complex128)
-        else:
-            vec = float(tf.delta_p()) * _classical_S_vector(p, k)
-    elif isinstance(tf, NelsonEq):
-        vec = _nelson_vector(tf, k)
+    if k < tf.k_p():
+        vec = np.zeros(pk, dtype=np.complex128)
+    elif isinstance(tf, (Classical, NelsonEq)):
+        vec = _classical_scale(tf, k) * _classical_S_vector(p, k)
     elif isinstance(tf, PrincipalSeries):
         vec = np.zeros(pk, dtype=np.complex128)
-        if k >= tf.c_chi:
-            chi = tf.chi.extend(k) if tf.chi.modulus_exponent < k else tf.chi
-            chi2 = chi * chi
-            tvec = _twisted_S_vector(p, k, chi2)
-            units = _unit_inverses(pk)[0]
-            chibar = chi.values()[units].conjugate()
-            vec[units] = float(tf.delta_p()) * chibar * tvec[units]
+        chi = tf.chi.extend(k) if tf.chi.modulus_exponent < k else tf.chi
+        chi2 = chi * chi
+        tvec = _twisted_S_vector(p, k, chi2)
+        units = _unit_inverses(pk)[0]
+        chibar = chi.values()[units].conjugate()
+        vec[units] = float(tf.delta_p()) * chibar * tvec[units]
     elif isinstance(tf, Supercuspidal):
-        vec = np.zeros(pk, dtype=np.complex128)
-        if k >= tf.support_exponent():
-            gamma = langlands_gamma(tf.ext)
-            # xi(p^k) = eta(p)^k: the central-character weight of the
-            # modulus, needed for one constant gamma to serve every k
-            pref = (
-                float(tf.delta_p())
-                * gamma.conjugate()
-                * p ** (-tf.d / 2)
-                * _eta_p(tf.ext) ** k
-            )
-            vec = pref * I_xi_vector(tf.xi, k)
-            vec[_nonunit_mask(p, k)] = 0
+        vec = _sc_prefactor(tf, k) * I_xi_vector(tf.xi, k)
+        vec[_nonunit_mask(p, k)] = 0
     elif isinstance(tf, SupercuspidalNbhd):
-        vec = np.zeros(pk, dtype=np.complex128)
-        if k >= tf.k_p():
-            vec = tf.index() * h_local_vector(tf.base, k)
+        vec = tf.index() * h_local_vector(tf.base, k)
     else:
         raise TypeError(f"unknown family {tf!r}")
     _H_VEC_CACHE[key] = vec
     return vec
+
+
+def _classical_scale(tf: Classical | NelsonEq, k: int) -> float:
+    """The constant with H_p(t,1;p^k) = scale * S(t,1;p^k) at every t:
+    delta_p [k >= c] for the classical family; for Nelson's only d = 1
+    contributes (gcd(t,1,p^c) = 1), leaving the two e-terms
+    nu(p^c) [k >= c] - nu(p^{c-1}) [k >= c-1]."""
+    p, c = tf.p, tf.c
+    if isinstance(tf, Classical):
+        return float(tf.delta_p()) if k >= c else 0.0
+    return float((nu(p**c) if k >= c else 0) - (nu(p ** (c - 1)) if k >= c - 1 else 0))
+
+
+def _sc_prefactor(tf: Supercuspidal, k: int) -> complex:
+    """delta_p conj(gamma) p^{-d/2} xi(p^k), the constant with H_p(t,1;p^k)
+    = prefactor * I_xi(t,p^k) at unit t.  xi(p^k) = eta(p)^k is the
+    central-character weight of the modulus, needed for one constant gamma
+    to serve every k."""
+    return (
+        float(tf.delta_p())
+        * langlands_gamma(tf.ext).conjugate()
+        * tf.p ** (-tf.d / 2)
+        * _eta_p(tf.ext) ** k
+    )
 
 
 def _nonunit_mask(p: int, k: int) -> np.ndarray:
@@ -290,7 +294,10 @@ def _nonunit_mask(p: int, k: int) -> np.ndarray:
 
 
 def h_local(tf: LocalTestFunction, m: int, n: int, k: int) -> KloostermanValue:
-    """H_p(m, n; p^k) for the five families."""
+    """H_p(m, n; p^k) for the five families: zero below k_p; at a unit mn
+    the entry mn of h_local_vector (H(m,n) = H(mn,1) for a unit n); at
+    p | mn the classical sum, Nelson's Moebius sum, or zero for the newform
+    projectors."""
     check_capacity(tf.p, k)
     p = tf.p
     pk = p**k
@@ -298,26 +305,15 @@ def h_local(tf: LocalTestFunction, m: int, n: int, k: int) -> KloostermanValue:
     def out(value, reason=None):
         return KloostermanValue(complex(value), tf.tag, p, k, m, n, reason)
 
-    if isinstance(tf, (Classical, NelsonEq)):
-        if k < tf.k_p():
-            return out(0, "below-k_p")
-        if (m * n) % p:
-            # S(m,n;p^k) = S(mn,1;p^k) for a unit n: one cached vector
-            return out(h_local_vector(tf, k)[m * n % pk])
-        if isinstance(tf, Classical):
-            return out(float(tf.delta_p()) * classical_S(m, n, pk))
-        return out(_nelson_value(tf, m, n, k))
-
-    # the newform-projector families vanish off units and below k-thresholds
-    threshold = tf.support_exponent() if not isinstance(tf, SupercuspidalNbhd) else tf.k_p()
-    if isinstance(tf, PrincipalSeries):
-        threshold = tf.c_chi
-    if k < threshold:
+    if k < tf.k_p():
         return out(0, "below-k_p")
-    if (m * n) % p == 0:
-        return out(0, "non-unit-mn")
-    vec = h_local_vector(tf, k)
-    return out(complex(vec[m * n % pk]))
+    if (m * n) % p:
+        return out(h_local_vector(tf, k)[m * n % pk])
+    if isinstance(tf, Classical):
+        return out(float(tf.delta_p()) * classical_S(m, n, pk))
+    if isinstance(tf, NelsonEq):
+        return out(_nelson_value(tf, m, n, k))
+    return out(0, "non-unit-mn")
 
 
 def h_local_vector_definitional(tf: LocalTestFunction, k: int) -> np.ndarray:
@@ -329,13 +325,7 @@ def h_local_vector_definitional(tf: LocalTestFunction, k: int) -> np.ndarray:
         pk = p**k
         vec = np.zeros(pk, dtype=np.complex128)
         if k >= tf.base.support_exponent():
-            gamma = langlands_gamma(tf.ext)
-            pref = (
-                float(tf.base.delta_p())
-                * gamma.conjugate()
-                * p ** (-tf.ext.d / 2)
-                * _eta_p(tf.ext) ** k
-            )
+            pref = _sc_prefactor(tf.base, k)
             restrict = tf.p == 2 and tf.ext.e == 1
             for xi1 in neighborhood_classes(tf.xi, tf.n, tf.a):
                 vec = vec + pref * I_xi_vector(xi1, k, restrict_U1=restrict)
@@ -366,20 +356,6 @@ def _nelson_value(tf: NelsonEq, m: int, n: int, k: int) -> complex:
                 * classical_S(m // d, n // d, p**r_exp)
             )
     return total
-
-
-def _nelson_vector(tf: NelsonEq, k: int) -> np.ndarray:
-    """H(t,1;p^k) for all t: only d = 1 contributes since gcd(t,1,p^c)=1."""
-    p, c = tf.p, tf.c
-    pk = p**k
-    scale = 0
-    if k >= c:
-        scale += nu(p**c)
-    if k >= c - 1:
-        scale -= nu(p ** (c - 1))
-    if scale == 0:
-        return np.zeros(pk, dtype=np.complex128)
-    return float(scale) * _classical_S_vector(p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -589,25 +565,13 @@ def mellin_closed(tf: LocalTestFunction, alpha: DirichletCharacter, k: int) -> c
     """The family's Gauss-sum formula for the Fourier-Mellin transform."""
     p = tf.p
     pk = p**k
-    if alpha.conductor_exponent() > k:
+    if alpha.conductor_exponent() > k or k < tf.k_p():
         return 0j
     alpha_k = alpha.extend(k) if alpha.modulus_exponent < k else alpha
-    if isinstance(tf, Classical):
-        if k < tf.c:
-            return 0j
+    if isinstance(tf, (Classical, NelsonEq)):
         tau = gauss_sum_at_level(alpha_k.conjugate(), k)
-        return float(tf.delta_p()) * tau * tau / pk
-    if isinstance(tf, NelsonEq):
-        scale = (nu(p**tf.c) if k >= tf.c else 0) - (
-            nu(p ** (tf.c - 1)) if k >= tf.c - 1 else 0
-        )
-        if scale == 0:
-            return 0j
-        tau = gauss_sum_at_level(alpha_k.conjugate(), k)
-        return scale * tau * tau / pk
+        return _classical_scale(tf, k) * tau * tau / pk
     if isinstance(tf, PrincipalSeries):
-        if k < tf.c_chi:
-            return 0j
         chi_k = tf.chi.extend(k) if tf.chi.modulus_exponent < k else tf.chi
         tau1 = gauss_sum_at_level((alpha_k * chi_k).conjugate(), k)
         tau2 = gauss_sum_at_level(alpha_k.conjugate() * chi_k, k)
@@ -615,8 +579,6 @@ def mellin_closed(tf: LocalTestFunction, alpha: DirichletCharacter, k: int) -> c
     if isinstance(tf, Supercuspidal):
         return _mellin_closed_sc(tf, alpha_k, k)
     if isinstance(tf, SupercuspidalNbhd):
-        if k < tf.k_p():
-            return 0j
         return tf.index() * _mellin_closed_sc(tf.base, alpha_k, k)
     raise TypeError(f"unknown family {tf!r}")
 
@@ -677,24 +639,14 @@ def _composed_phase(
 
 def _mellin_closed_sc(tf: Supercuspidal, alpha: DirichletCharacter, k: int) -> complex:
     """Zero unless c(conj(alpha)_E xi) = ek - d; otherwise the E-side
-    Gauss sum, evaluated at its stationary point."""
+    Gauss sum, evaluated at its stationary point.  The caller has checked
+    k >= k_p and c(alpha) <= k."""
     ext, xi = tf.ext, tf.xi
-    p, e_, d = ext.p, ext.e, ext.d
-    if 2 * k < tf.c_sigma or alpha.conductor_exponent() > k:
-        return 0j
     alpha_bar = alpha.conjugate()
-    if composed_conductor(alpha_bar, xi, k) != e_ * k - d:
+    if composed_conductor(alpha_bar, xi, k) != ext.e * k - ext.d:
         return 0j
     G = _stationary_E_gauss(alpha_bar, xi, k)
-    gamma = langlands_gamma(ext)
-    return (
-        float(tf.delta_p())
-        * gamma.conjugate()
-        * p ** (-d / 2)
-        * _eta_p(ext) ** k
-        * G
-        / p**k
-    )
+    return _sc_prefactor(tf, k) * G / ext.p**k
 
 
 def _layer_shifts(ext: QuadExtension, lv: int, k: int):
@@ -740,13 +692,10 @@ def _stationary_E_gauss(
     x, depth = (1 % pk, 0), 0
     for j in range(c_prime - 1, s - 1, -1):
         want = e_ * k - j + c_psi_E(ext)
-        cands = [x]
-        for lv in range(depth, want):
-            cands = [
-                ((a + sa) % pk, (b + sb) % pk)
-                for (a, b) in cands
-                for (sa, sb) in _layer_shifts(ext, lv, k)
-            ]
+        cands = [
+            ((x[0] + da) % pk, (x[1] + db) % pk)
+            for da, db in _lattice_classes(ext, depth, want, k)
+        ]
         # x is stationary when psi_c(1 + tau) == psi_E(x tau / p^k) for every
         # generator tau of valuation j, i.e. lhs / L == Tr(x tau) / p^k; the
         # left side does not depend on x

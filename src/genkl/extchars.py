@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .padic import DirichletCharacter, e, unit_group_zpk, valuation
+from .padic import DirichletCharacter, e, phase_exponent, unit_group_zpk, valuation
 from .quadext import EXCEEDS_PRECISION, QuadExtension, UnitGroup, eta_char, unit_group
 
 
@@ -116,7 +116,7 @@ class ExtCharacter:
         """xi^sigma = xi o (a + b alpha0 -> (a - A b) - b alpha0)."""
         G, pk = self.group, self.group.pk
         exps = [
-            _exponent(self.unit_phase(self.ext.conj(g, pk)), G.L, o)
+            phase_exponent(self.unit_phase(self.ext.conj(g, pk)), G.L, o)
             for g, o in zip(G.gens, G.orders)
         ]
         if self.ext.e == 1:
@@ -131,7 +131,7 @@ class ExtCharacter:
         p, M = self.ext.p, self.group.M
         gens, orders, _ = unit_group_zpk(p, M)
         exps = [
-            _exponent(self.unit_phase(self.group.embed_base_unit(g)), self.group.L, o)
+            phase_exponent(self.unit_phase(self.group.embed_base_unit(g)), self.group.L, o)
             for g, o in zip(gens, orders)
         ]
         return DirichletCharacter(p, M, tuple(exps))
@@ -143,7 +143,7 @@ class ExtCharacter:
         if m == self.group.m:
             return self
         G2 = unit_group(self.ext, m)
-        exps = [_exponent(self.unit_phase(g), self.group.L, o) for g, o in zip(G2.gens, G2.orders)]
+        exps = [phase_exponent(self.unit_phase(g), self.group.L, o) for g, o in zip(G2.gens, G2.orders)]
         return ExtCharacter(self.ext, G2, tuple(exps), self.unif_phase)
 
     def __eq__(self, other) -> bool:
@@ -157,13 +157,6 @@ class ExtCharacter:
             f"ExtCharacter({self.ext.label()}, m={self.group.m}, "
             f"exps={self.exps}, unif={self.unif_phase})"
         )
-
-
-def _exponent(ph: int, L: int, o: int) -> int:
-    """The exponent x with x/o = ph/L, for a phase of order dividing o."""
-    x, r = divmod(ph * o, L)
-    assert r == 0, "phase is not a character value of that order"
-    return x
 
 
 def _p_over_pi_sq(ext: QuadExtension, pk: int) -> tuple[int, int]:
@@ -266,6 +259,15 @@ def enumerate_xi(
     return out
 
 
+def seed_conductors(ext: QuadExtension) -> list[int]:
+    """The conductor exponents c(xi) searched, in order, for the smallest
+    supercuspidal characters on ext: 1 and 2 (unramified) or 2 (ramified)
+    for odd p, and 5 or 8 at p = 2, where c(sigma) >= 9."""
+    if ext.p != 2:
+        return [1, 2] if ext.e == 1 else [2]
+    return [5] if ext.e == 1 else [8]
+
+
 def _exponent_vectors(orders):
     if not orders:
         yield ()
@@ -276,7 +278,8 @@ def _exponent_vectors(orders):
 
 
 def _unif_phases(ext, G, exps, at_p_phase: Fraction):
-    """Uniformizer phases compatible with the prescribed value at p."""
+    """Uniformizer phases compatible with the prescribed value at p; with
+    at_p_phase 0 they make a character trivial on Z_p^x trivial on Q_p^x."""
     if ext.e == 1:
         return [at_p_phase]
     probe = ExtCharacter(ext, G, exps, Fraction(0))
@@ -319,7 +322,7 @@ def compose_with_norm(
     pw = ext.p ** max(w_n, 1)
     # zero-extension of the pair is a U_E(m)-perturbation, so the norm
     # below is the canonical one
-    exps = [_exponent(chi.phase(ext.norm(g, pw)), chi.L, o) for g, o in zip(G.gens, G.orders)]
+    exps = [phase_exponent(chi.phase(ext.norm(g, pw)), chi.L, o) for g, o in zip(G.gens, G.orders)]
     if ext.e == 1:
         # Nm(p) = p^2, chi(p) := 1
         unif = Fraction(0)
@@ -381,20 +384,10 @@ def neighborhood(xi: ExtCharacter, n: int) -> list["ExtCharacter"]:
     ext = xi.ext
     out = []
     for exps in _trivial_restriction_unit_parts(G, n):
-        for unif in _theta_unif_phases(ext, G, exps):
+        for unif in _unif_phases(ext, G, exps, Fraction(0)):
             theta = ExtCharacter(ext, G, exps, unif)
             out.append(xi.mul(theta))
     return out
-
-
-def _theta_unif_phases(ext, G, exps):
-    """Uniformizer phases making theta trivial on all of Q_p^x."""
-    if ext.e == 1:
-        return [Fraction(0)]
-    probe = ExtCharacter(ext, G, exps, Fraction(0))
-    wt_phase = Fraction(probe.unit_phase(_p_over_pi_sq(ext, G.pk)), G.L)
-    base = -wt_phase / 2
-    return [base % 1, (base + Fraction(1, 2)) % 1]
 
 
 @cache
@@ -422,7 +415,7 @@ def neighborhood_classes(xi: ExtCharacter, n: int, i: int, /) -> tuple[ExtCharac
         if cls in seen:
             continue
         seen.add(cls)
-        unif = _theta_unif_phases(xi.ext, G, exps)[0]
+        unif = _unif_phases(xi.ext, G, exps, Fraction(0))[0]
         reps.append(xi.mul(ExtCharacter(xi.ext, G, exps, unif)))
     return tuple(reps)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -75,43 +74,12 @@ def nu(n: int) -> int:
     return int(out)
 
 
-@dataclass(frozen=True)
-class ResidueClass:
-    """An element of Z/p^k, kept reduced."""
-
-    value: int
-    p: int
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.p**self.k)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.k
-
-    def __add__(self, other: "ResidueClass") -> "ResidueClass":
-        assert (self.p, self.k) == (other.p, other.k)
-        return ResidueClass(self.value + other.value, self.p, self.k)
-
-    def __mul__(self, other: "ResidueClass") -> "ResidueClass":
-        assert (self.p, self.k) == (other.p, other.k)
-        return ResidueClass(self.value * other.value, self.p, self.k)
-
-    def inverse(self) -> "ResidueClass":
-        return ResidueClass(pow(self.value, -1, self.modulus), self.p, self.k)
-
-    def is_unit(self) -> bool:
-        return self.value % self.p != 0
-
-
 # ---------------------------------------------------------------------------
 # Square roots mod p^k
 
 
-def hensel_sqrt_set(l, p: int, k: int) -> set[int]:
-    """All x mod p^k with x^2 = l (mod p^k).  l may be an int or a
-    ResidueClass.
+def hensel_sqrt_set(l: int, p: int, k: int) -> set[int]:
+    """All x mod p^k with x^2 = l (mod p^k).
 
     Layered lifting: roots mod p^j extend to roots mod p^{j+1} by scanning
     the p candidates above each root.  Root counts stay bounded by
@@ -119,8 +87,6 @@ def hensel_sqrt_set(l, p: int, k: int) -> set[int]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if isinstance(l, ResidueClass):
-        l = l.value
     pk = p**k
     l %= pk
     roots = {x for x in range(p) if (x * x - l) % p == 0}
@@ -270,6 +236,13 @@ def _is_primitive_root_mod_p(g: int, p: int) -> bool:
     return all(pow(g, n // f, p) != 1 for f in facs)
 
 
+def phase_exponent(ph: int, L: int, o: int) -> int:
+    """The exponent x with x/o = ph/L, for a phase of order dividing o."""
+    x, r = divmod(ph * o, L)
+    assert r == 0, "phase is not a character value of that order"
+    return x
+
+
 class DirichletCharacter:
     """A character of (Z/p^k)^* stored as exponents against fixed generators.
 
@@ -375,22 +348,17 @@ class DirichletCharacter:
             raise ValueError("can only extend to a larger modulus")
         if k == self.modulus_exponent:
             return self
-        gens, orders, _ = unit_group_zpk(self.p, k)
-        exps = []
-        for g, o in zip(gens, orders):
-            # chi(g) = e(phase, L); solve exponent x with x/o = phase/L
-            exps.append(self.phase(g) * o // self.L)
-        return DirichletCharacter(self.p, k, tuple(exps))
+        return self._on_level(k)
 
     def restrict_to_conductor(self) -> "DirichletCharacter":
-        c = self.conductor_exponent()
-        gens, orders, _ = unit_group_zpk(self.p, c)
-        exps = []
-        for g, o in zip(gens, orders):
-            num = self.phase(g) * o
-            assert num % self.L == 0
-            exps.append(num // self.L)
-        return DirichletCharacter(self.p, c, tuple(exps))
+        return self._on_level(self.conductor_exponent())
+
+    def _on_level(self, k: int) -> "DirichletCharacter":
+        """The same character as a character mod p^k (for k below the
+        modulus exponent chi must factor through p^k)."""
+        gens, orders, _ = unit_group_zpk(self.p, k)
+        exps = [phase_exponent(self.phase(g), self.L, o) for g, o in zip(gens, orders)]
+        return DirichletCharacter(self.p, k, tuple(exps))
 
     def __eq__(self, other) -> bool:
         return (

@@ -571,17 +571,12 @@ def solve_norm_a(ext: QuadExtension, b: int, t: int, k: int) -> set[int]:
     return out
 
 
-def norm_fiber(ext: QuadExtension, k: int, t):
-    """Units u of O_E/p^k with Nm(u) = t mod p^k, as a generator; t may be
-    an int or a ResidueClass.
+def norm_fiber(ext: QuadExtension, k: int, t: int):
+    """Units u of O_E/p^k with Nm(u) = t mod p^k, as a generator.
 
     Cost O(p^k polylog): one quadratic solve per b.  Empty for non-unit t
     (norms of units are units).
     """
-    from .padic import ResidueClass
-
-    if isinstance(t, ResidueClass):
-        t = t.value
     p = ext.p
     pk = p**k
     t %= pk

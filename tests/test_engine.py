@@ -221,11 +221,31 @@ class TestHLocal:
                 got = h_local(tf, m, n, k).value
                 assert abs(got - float(tf.delta_p()) * brute) < 1e-9
 
-    def test_sc_vanishing_gates(self):
-        tf = make_sc(3, 1)  # c(sigma) = 3
-        assert h_local(tf, 1, 1, 1).vanishing_reason == "below-k_p"
-        assert h_local(tf, 3, 1, 2).vanishing_reason == "non-unit-mn"
-        assert abs(h_local(tf, 3, 1, 2).value) == 0
+    @pytest.mark.parametrize(
+        "tf",
+        ALL_SMALL_FAMILIES + [make_sc(2, 0)],
+        ids=lambda t: f"{t.tag}-p{t.p}-kp{t.k_p()}",
+    )
+    def test_vanishing_gates(self, tf):
+        # one gate for every family: zero below k_p, the vector entry at
+        # unit mn from k_p on, and zero at p | mn for the newform projectors
+        p, kp = tf.p, tf.k_p()
+        if isinstance(tf, (PrincipalSeries, Supercuspidal)):
+            assert tf.support_exponent() == kp
+        if kp > 0:
+            below = h_local(tf, 1, 1, kp - 1)
+            assert below.vanishing_reason == "below-k_p" and below.value == 0
+        vec = h_local_vector(tf, kp)
+        for t in range(1, min(p**kp, 40)):
+            if t % p:
+                got = h_local(tf, t, 1, kp)
+                assert got.vanishing_reason is None and got.value == vec[t]
+        assert np.abs(vec).max() > 1e-6
+        got = h_local(tf, p, 1, kp)
+        if isinstance(tf, (Classical, NelsonEq)):
+            assert got.vanishing_reason is None
+        else:
+            assert got.vanishing_reason == "non-unit-mn" and got.value == 0
 
     def test_degeneration_spot(self):
         tf = make_sc(5, 0)

@@ -74,7 +74,7 @@ class TestConstructors:
             NelsonEq(3, 2)
 
 
-class TestDeltaP:
+class TestPerFamilyMemo:
     """delta_p and f_one pinned for one member of each family, and computed
     once per family value: an equal family returns the same object."""
 

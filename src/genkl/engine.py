@@ -178,7 +178,9 @@ def _minimal_valid_xi(ext: QuadExtension) -> ExtCharacter:
 def langlands_gamma(ext: QuadExtension, xi: ExtCharacter | None = None) -> complex:
     """gamma = lambda(E, psi) solved from the degeneration identity at
     k >= c(sigma): conj(gamma) = S(t,1;p^k) p^{d/2} / I_xi(t,p^k) at a
-    sample where both sides are visibly nonzero (method B, ground truth)."""
+    sample where both sides are visibly nonzero (method B, ground truth).
+    lambda^2 = eta(-1), so the solved value is returned as the fourth root
+    of unity it rounds to (it must lie within 1e-9 of one)."""
     return _langlands_gamma(ext, xi)
 
 
@@ -196,8 +198,19 @@ def _langlands_gamma(ext: QuadExtension, xi: ExtCharacter | None, /) -> complex:
                 break
             S = classical_S(int(t), 1, ext.p**k)
             if abs(S) > 1e-6:
-                return (S * ext.p ** (ext.d / 2) / (eta_p**k * vec[t])).conjugate()
+                solved = (S * ext.p ** (ext.d / 2) / (eta_p**k * vec[t])).conjugate()
+                return _nearest_fourth_root(solved)
     raise RuntimeError("all degeneration samples vanish; retry with new (m,n)")
+
+
+_FOURTH_ROOTS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
+
+
+def _nearest_fourth_root(z: complex) -> complex:
+    root = _FOURTH_ROOTS[round(math.atan2(z.imag, z.real) / (math.pi / 2)) % 4]
+    if abs(z - root) > 1e-9:
+        raise AssertionError(f"solved gamma {z} is not a fourth root of unity")
+    return root
 
 
 def langlands_gamma_eps(ext: QuadExtension) -> complex:

@@ -126,12 +126,15 @@ class TestGamma:
         assert max(abs(g - gs[0]) for g in gs) < 1e-8
 
     def test_square_is_eta_minus_one(self):
+        # exactly: gamma is returned as a fourth root of unity, without
+        # signed zeros that would print as -0
         from genkl.quadext import eta_char
 
-        for p in (2, 3, 5):
+        for p in (2, 3, 5, 7):
             for ext in standard_extensions(p):
                 g = langlands_gamma(ext)
-                assert abs(g * g - eta_char(ext, -1)) < 1e-8
+                assert g * g == eta_char(ext, -1)
+                assert str(g.real) != "-0.0" and str(g.imag) != "-0.0"
 
 
 class TestValueMemos:

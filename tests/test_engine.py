@@ -6,7 +6,7 @@ import pytest
 
 from genkl.padic import CapacityError, enumerate_dirichlet
 from genkl.quadext import standard_extensions
-from genkl.extchars import enumerate_xi, eta_restriction, sigma_conductor
+from genkl.extchars import enumerate_xi, eta_restriction, seed_conductors, sigma_conductor
 from genkl.families import (
     Classical,
     NelsonEq,
@@ -46,9 +46,7 @@ from genkl.engine import (
 def make_sc(p, which=0, cxi=None, index=0):
     ext = standard_extensions(p)[which]
     if cxi is None:
-        cxi = 1 if ext.e == 1 else 2
-        if p == 2:
-            cxi = 5 if ext.e == 1 else 8
+        cxi = seed_conductors(ext)[0]
     xs = enumerate_xi(ext, cxi, eta_restriction(ext), regular_only=True)
     return Supercuspidal(xs[index])
 

@@ -4,7 +4,7 @@ import pytest
 
 from genkl.padic import enumerate_dirichlet, nu
 from genkl.quadext import standard_extensions
-from genkl.extchars import enumerate_xi, eta_restriction
+from genkl.extchars import enumerate_xi, eta_restriction, seed_conductors
 from genkl.families import (
     Classical,
     ConductorGeqTwo,
@@ -34,9 +34,7 @@ def make_ps(p, c):
 def make_sc(p, which=0, cxi=None):
     ext = standard_extensions(p)[which]
     if cxi is None:
-        cxi = 1 if ext.e == 1 else 2
-        if p == 2:
-            cxi = 5 if ext.e == 1 else 8
+        cxi = seed_conductors(ext)[0]
     xs = enumerate_xi(ext, cxi, eta_restriction(ext), regular_only=True)
     return Supercuspidal(xs[0])
 

@@ -143,7 +143,10 @@ class ExtCharacter:
         if m == self.group.m:
             return self
         G2 = unit_group(self.ext, m)
-        exps = [phase_exponent(self.unit_phase(g), self.group.L, o) for g, o in zip(G2.gens, G2.orders)]
+        exps = [
+            phase_exponent(self.unit_phase(g), self.group.L, o)
+            for g, o in zip(G2.gens, G2.orders)
+        ]
         return ExtCharacter(self.ext, G2, tuple(exps), self.unif_phase)
 
     def __eq__(self, other) -> bool:
@@ -322,7 +325,10 @@ def compose_with_norm(
     pw = ext.p ** max(w_n, 1)
     # zero-extension of the pair is a U_E(m)-perturbation, so the norm
     # below is the canonical one
-    exps = [phase_exponent(chi.phase(ext.norm(g, pw)), chi.L, o) for g, o in zip(G.gens, G.orders)]
+    exps = [
+        phase_exponent(chi.phase(ext.norm(g, pw)), chi.L, o)
+        for g, o in zip(G.gens, G.orders)
+    ]
     if ext.e == 1:
         # Nm(p) = p^2, chi(p) := 1
         unif = Fraction(0)

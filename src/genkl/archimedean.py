@@ -78,20 +78,23 @@ SpectralWeight = Window | InitialSegment | HoloWeight
 
 ORDER_CAP = 200.0
 X_CAP = 1.0e4
-COMPLEX_ORDER_X_CAP = 60.0
+# Largest x where the series match mpmath to 1e-6 relative; beyond, the
+# J series and the imaginary part of the I series cancel too much.
+SIGNED_SERIES_X_CAP = 20.0
+UNSIGNED_SERIES_X_CAP = 15.0
 
 
 def bessel_J(order, x: float) -> complex:
     """J_order(x).  Real orders go through scipy's oscillatory-integral
     machinery for any x <= 1e4; genuinely complex orders use the power
-    series with complex log-gamma, reliable for x <= 60."""
+    series with complex log-gamma, accurate for x <= 20."""
     if abs(order) > ORDER_CAP or not 0 < x <= X_CAP:
         raise ValueError("parameter range exceeded")
     order = complex(order)
     if order.imag == 0:
         return complex(jv(order.real, x))
-    if x > COMPLEX_ORDER_X_CAP:
-        raise ValueError("complex orders supported for x <= 60")
+    if x > SIGNED_SERIES_X_CAP:
+        raise ValueError(f"complex orders supported for x <= {SIGNED_SERIES_X_CAP:g}")
     return _bessel_series(order, x)
 
 
@@ -156,11 +159,12 @@ def _gauss_panels(a: float, b: float, width: float, order: int = 12):
 
 def H_infty(h: SpectralWeight, x: float) -> float:
     """(i/2) integral over R of J_{2it}(x)/cosh(pi t) h(t) t dt, reduced to
-    -int_0^infty Im(J_{2it}(x)) t h(t)/cosh(pi t) dt (real for even h)."""
+    -int_0^infty Im(J_{2it}(x)) t h(t)/cosh(pi t) dt (real for even h).
+    Raises ValueError beyond SIGNED_SERIES_X_CAP."""
     if isinstance(h, HoloWeight):
         raise TypeError("H_infty takes the Maass-type weights")
-    if not 0 < x <= X_CAP:
-        raise ValueError("x out of range")
+    if not 0 < x <= SIGNED_SERIES_X_CAP:
+        raise ValueError(f"H_infty supported for 0 < x <= {SIGNED_SERIES_X_CAP:g}")
     cut = h.support_cut()
     width = h.Delta / 2 if isinstance(h, Window) else max(h.T / 8, 0.5)
     ts, ws = _gauss_panels(0.0, cut, min(1.0, width))
@@ -171,11 +175,12 @@ def H_infty(h: SpectralWeight, x: float) -> float:
 def H_infty_minus(h: SpectralWeight, x: float) -> float:
     """(1/pi) int_0^infty K_{2it}(x) sinh(pi t) h(t) t dt.  Evaluated via
     K_{2it}(x) sinh(pi t) = pi (I_{-2it} - I_{2it})(x) / (4i cosh(pi t)),
-    so the exponentially small K never meets the sinh blowup."""
+    so the exponentially small K never meets the sinh blowup.  Raises
+    ValueError beyond UNSIGNED_SERIES_X_CAP."""
     if isinstance(h, HoloWeight):
         raise TypeError("H_infty_minus takes the Maass-type weights")
-    if not 0 < x <= X_CAP:
-        raise ValueError("x out of range")
+    if not 0 < x <= UNSIGNED_SERIES_X_CAP:
+        raise ValueError(f"H_infty_minus supported for 0 < x <= {UNSIGNED_SERIES_X_CAP:g}")
     cut = h.support_cut()
     width = h.Delta / 2 if isinstance(h, Window) else max(h.T / 8, 0.5)
     ts, ws = _gauss_panels(0.0, cut, min(1.0, width))

@@ -10,6 +10,10 @@ enumeration, R by direct integration, Mellin by finite Fourier) provide
 the independent verification paths.  All heavy sums run through
 genkl.kernels.
 
+Each Mellin job has one route: the direct transform is one FFT of
+h_local_vector per (family, k), every Gauss sum one entry of one FFT per
+(p, k), and the one-character calls read these cached tables.
+
 Memoized functions take positional-only arguments; a public function with
 defaults fills them in before the lookup, so each value has one cache key.
 """
@@ -259,7 +263,7 @@ def h_local_vector(tf: LocalTestFunction, k: int) -> np.ndarray:
         vec = _classical_scale(tf, k) * _classical_S_vector(p, k)
     elif isinstance(tf, PrincipalSeries):
         vec = np.zeros(pk, dtype=np.complex128)
-        chi = tf.chi.extend(k) if tf.chi.modulus_exponent < k else tf.chi
+        chi = _at_level(tf.chi, k)
         chi2 = chi * chi
         tvec = _twisted_S_vector(p, k, chi2)
         units = _unit_inverses(pk)[0]
@@ -512,82 +516,79 @@ def _prime_power_parts(cs: np.ndarray):
 # Fourier-Mellin transforms
 
 
+def _at_level(alpha: DirichletCharacter, k: int) -> DirichletCharacter:
+    """alpha as a character mod p^k, for c(alpha) <= k; a deeper modulus
+    comes down through the conductor."""
+    if alpha.modulus_exponent == k:
+        return alpha
+    return alpha.restrict_to_conductor().extend(k)
+
+
 def mellin_direct(tf: LocalTestFunction, alpha: DirichletCharacter, k: int) -> complex:
     """The unit-group integral of H against conj(alpha): p^{-k} times the
-    sum over units y mod p^k of H_p(y,1;p^k) conj(alpha(y)).  Zero when
-    c(alpha) > k (the finite sum is then meaningless and the integral
-    form returns 0).  This additive-measure normalization is the one that
-    gives the supercuspidal transform modulus delta_p on its
-    non-vanishing set."""
-    p = tf.p
-    pk = p**k
+    sum over units y mod p^k of H_p(y,1;p^k) conj(alpha(y)), read from
+    mellin_direct_all.  Zero when c(alpha) > k (the finite sum is then
+    meaningless and the integral form returns 0).  This additive-measure
+    normalization is the one that gives the supercuspidal transform
+    modulus delta_p on its non-vanishing set."""
     if alpha.conductor_exponent() > k:
         return 0j
-    vec = h_local_vector(tf, k)
-    if pk == 1:
-        return complex(vec[0])
-    alpha_k = alpha.extend(k) if alpha.modulus_exponent < k else alpha
-    total = 0j
-    for y in range(1, pk):
-        if y % p == 0:
-            continue
-        v = vec[y]
-        if v != 0:
-            total += v * alpha_k(y).conjugate()
-    return total / pk
+    return complex(mellin_direct_all(tf, k)[_at_level(alpha, k).exps])
 
 
-def character_fft(p: int, k: int, vec: np.ndarray) -> dict[tuple, complex]:
-    """exps -> sum over units y of vec[y] conj(chi_exps(y)), one fftn."""
-    gens, orders, dlog = unit_group_zpk(p, k)
-    if not orders:
-        return {(): complex(vec[1 % len(vec)] if len(vec) > 1 else vec[0])}
-    arr = np.zeros(tuple(orders), dtype=np.complex128)
+def character_fft(p: int, k: int, vec: np.ndarray) -> np.ndarray:
+    """hat[exps] = sum over units y of vec[y] conj(chi_exps(y)), one fftn
+    over the shape of (Z/p^k)^*: exps is an exponent vector against its
+    standard generators."""
+    _, orders, dlog = unit_group_zpk(p, k)
+    arr = np.zeros(orders, dtype=np.complex128)
     for y, dv in dlog.items():
         arr[dv] = vec[y]
-    hat = np.fft.fftn(arr)
-    import itertools
-
-    return {
-        exps: complex(hat[exps])
-        for exps in itertools.product(*(range(o) for o in orders))
-    }
+    return np.fft.fftn(arr)
 
 
-def mellin_direct_all(tf: LocalTestFunction, k: int) -> dict[tuple, complex]:
-    """The direct transform for every character mod p^k at once; keys are
-    exponent vectors against the standard generators of (Z/p^k)^*."""
-    vec = h_local_vector(tf, k)
-    pk = tf.p**k
-    return {exps: v / pk for exps, v in character_fft(tf.p, k, vec).items()}
+# Read-only tables.  The test suite's lookups replayed through an LRU hit
+# 0.834 (198 keys) and 0.9996 (29 keys) at these bounds, as unbounded.
+@lru_cache(maxsize=256)
+def mellin_direct_all(tf: LocalTestFunction, k: int, /) -> np.ndarray:
+    """The direct transform for every character mod p^k at once, one FFT
+    of h_local_vector, indexed like character_fft."""
+    hat = character_fft(tf.p, k, h_local_vector(tf, k))
+    hat /= tf.p**k
+    hat.flags.writeable = False
+    return hat
 
 
-def gauss_level_table(p: int, k: int) -> dict[tuple, complex]:
-    """tau_k(chi) = sum over units m of chi(m) e(m/p^k), for every chi."""
+@lru_cache(maxsize=32)
+def gauss_level_table(p: int, k: int, /) -> np.ndarray:
+    """tau_k(chi) = sum over units m of chi(m) e(m/p^k) for every chi mod
+    p^k, indexed like character_fft."""
     pk = p**k
-    vec = np.array(
-        [e(m, pk) if (pk == 1 or m % p) else 0 for m in range(pk)],
-        dtype=np.complex128,
-    )
-    hat = character_fft(p, k, vec)
-    _, orders, _ = unit_group_zpk(p, k)
-    return {tuple((-x) % o for x, o in zip(exps, orders)): v for exps, v in hat.items()}
+    vec = np.array([e(m, pk) if pk == 1 or m % p else 0 for m in range(pk)], dtype=complex)
+    # the transform pairs vec with conj(chi_x) = chi_{-x}: negate every index
+    tau = character_fft(p, k, vec)
+    for axis in range(tau.ndim):
+        tau = np.roll(np.flip(tau, axis), 1, axis)
+    tau.flags.writeable = False
+    return tau
 
 
 def mellin_closed(tf: LocalTestFunction, alpha: DirichletCharacter, k: int) -> complex:
-    """The family's Gauss-sum formula for the Fourier-Mellin transform."""
+    """The family's Gauss-sum formula for the Fourier-Mellin transform, the
+    Gauss sums read from gauss_level_table(p, k)."""
     p = tf.p
     pk = p**k
     if alpha.conductor_exponent() > k or k < tf.k_p():
         return 0j
-    alpha_k = alpha.extend(k) if alpha.modulus_exponent < k else alpha
+    alpha_k = _at_level(alpha, k)
     if isinstance(tf, (Classical, NelsonEq)):
-        tau = gauss_sum_at_level(alpha_k.conjugate(), k)
+        tau = complex(gauss_level_table(p, k)[alpha_k.conjugate().exps])
         return _classical_scale(tf, k) * tau * tau / pk
     if isinstance(tf, PrincipalSeries):
-        chi_k = tf.chi.extend(k) if tf.chi.modulus_exponent < k else tf.chi
-        tau1 = gauss_sum_at_level((alpha_k * chi_k).conjugate(), k)
-        tau2 = gauss_sum_at_level(alpha_k.conjugate() * chi_k, k)
+        taus = gauss_level_table(p, k)
+        chi_k = _at_level(tf.chi, k)
+        tau1 = complex(taus[(alpha_k * chi_k).conjugate().exps])
+        tau2 = complex(taus[(alpha_k.conjugate() * chi_k).exps])
         return float(tf.delta_p()) * tau1 * tau2 / pk
     if isinstance(tf, Supercuspidal):
         return _mellin_closed_sc(tf, alpha_k, k)
@@ -606,7 +607,7 @@ def composed_conductor(alpha_bar: DirichletCharacter, xi: ExtCharacter, k: int) 
             gen = ((1 + tau[0]) % pk, tau[1] % pk)
             if _composed_phase(alpha_bar, xi, gen, k) != 0:
                 return j + 1
-    for u in _tame_units(ext, k):
+    for u in ext.units(1):
         if _composed_phase(alpha_bar, xi, u, k) != 0:
             return 1
     return 0
@@ -621,16 +622,6 @@ def _layer_generators(ext: QuadExtension, j: int, k: int):
     if j % 2 == 0:
         return [(p**half, 0)]
     return [(0, p**half)]
-
-
-def _tame_units(ext: QuadExtension, k: int):
-    pk = ext.p**k
-    return [
-        (a % pk, b % pk)
-        for a in range(ext.p)
-        for b in range(ext.p)
-        if ext.is_unit((a, b))
-    ]
 
 
 def _composed_L(alpha_bar: DirichletCharacter, xi: ExtCharacter) -> int:

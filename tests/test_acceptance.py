@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from genkl.padic import DirichletCharacter, enumerate_dirichlet, nu, valuation
+from genkl.padic import DirichletCharacter, enumerate_dirichlet, valuation
 from genkl.quadext import standard_extensions, unit_group
 from genkl.extchars import (
     ExtCharacter,
@@ -46,7 +46,6 @@ from genkl.engine import (
     h_global,
     h_local,
     h_local_vector,
-    gauss_level_table,
     mellin_closed,
     mellin_direct_all,
     stationary_phase_R,
@@ -170,39 +169,7 @@ def _mellin_grid_families():
     return fams
 
 
-def _closed_from_table(tf, alpha, k, taus, orders):
-    """Batched closed forms for the Gauss-sum families: the tau_k table
-    replaces the per-alpha level sums (same formulas as mellin_closed)."""
-    p = tf.p
-    pk = p**k
-
-    def tau_of(exps):
-        return taus[tuple(x % o for x, o in zip(exps, orders))]
-
-    neg = tuple(-x for x in alpha.exps)
-    if isinstance(tf, Classical):
-        if k < tf.c:
-            return 0j
-        t = tau_of(neg)
-        return float(tf.delta_p()) * t * t / pk
-    if isinstance(tf, NelsonEq):
-        scale = (nu(p**tf.c) if k >= tf.c else 0) - (
-            nu(p ** (tf.c - 1)) if k >= tf.c - 1 else 0
-        )
-        t = tau_of(neg)
-        return scale * t * t / pk
-    # principal series
-    if k < tf.c_chi:
-        return 0j
-    chi_k = tf.chi.extend(k) if tf.chi.modulus_exponent < k else tf.chi
-    t1 = tau_of(tuple(-(a + c) for a, c in zip(alpha.exps, chi_k.exps)))
-    t2 = tau_of(tuple(c - a for a, c in zip(alpha.exps, chi_k.exps)))
-    return float(tf.delta_p()) * t1 * t2 / pk
-
-
 def test_criterion_3_mellin():
-    from genkl.padic import unit_group_zpk
-
     t0 = time.time()
     worst = 0.0
     crit_fail = 0
@@ -215,15 +182,9 @@ def test_criterion_3_mellin():
             if p**k > 10**4:
                 break
             direct = mellin_direct_all(tf, k)
-            _, orders, _ = unit_group_zpk(p, k)
-            if not is_sc:
-                taus = gauss_level_table(p, k)
             for alpha in enumerate_dirichlet(p, k):
                 d = direct[alpha.exps]
-                if is_sc:
-                    c = mellin_closed(tf, alpha, k)
-                else:
-                    c = _closed_from_table(tf, alpha, k, taus, orders)
+                c = mellin_closed(tf, alpha, k)
                 worst = max(worst, abs(d - c))
                 checked += 1
                 if is_sc:

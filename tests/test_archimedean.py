@@ -145,3 +145,54 @@ class TestTransforms:
         f1 = f_infty_one(h)
         for v, x in zip(vals, (2.0, 1.0, 0.5, 0.25)):
             assert v <= 10 * f1 * (x / 30) ** 2
+
+
+def _transform_vs_mpmath(h: InitialSegment, x: float, signed: bool) -> float:
+    """H_infty (signed) or H_infty_minus from mpmath's Bessel functions."""
+    bessel = mp.besselj if signed else mp.besseli
+    T = mp.mpf(h.T)
+
+    def integrand(t):
+        weight = (t * t + mp.mpf(1) / 4) / T**2 * mp.e ** (-((t / T) ** 2))
+        return mp.im(bessel(2j * t, x) / mp.cosh(mp.pi * t)) * t * weight
+
+    with mp.workdps(40):
+        val = -mp.quad(integrand, mp.linspace(0, 7 * h.T, 9))
+    return float(val if signed else val / 2)
+
+
+class TestLargeArgument:
+    """Each series route either matches mpmath to 1e-6 relative or refuses
+    the argument; none returns nan."""
+
+    @pytest.mark.parametrize("x", [15.0, 20.0, 40.0, 100.0, 1000.0])
+    def test_complex_order_accurate_or_refused(self, x):
+        for t in (0.1, 2.0):
+            try:
+                got = bessel_J(2j * t, x)
+            except ValueError:
+                continue
+            with mp.workdps(60):
+                ref = complex(mp.besselj(2j * t, x))
+            assert abs(got - ref) <= 1e-6 * abs(ref)
+
+    @pytest.mark.parametrize("x", [15.0, 20.0, 40.0, 100.0, 1000.0])
+    @pytest.mark.parametrize(
+        "transform, signed", [(H_infty, True), (H_infty_minus, False)],
+        ids=["H_infty", "H_infty_minus"],
+    )
+    def test_transform_accurate_or_refused(self, transform, signed, x):
+        h = InitialSegment(2.0)
+        try:
+            got = transform(h, x)
+        except ValueError:
+            return
+        assert not math.isnan(got)
+        ref = _transform_vs_mpmath(h, x, signed)
+        assert abs(got - ref) <= 1e-6 * abs(ref)
+
+    @pytest.mark.parametrize("x", [100.0, 1000.0])
+    def test_window_refused(self, x):
+        for transform in (H_infty, H_infty_minus):
+            with pytest.raises(ValueError):
+                transform(Window(50, 2), x)

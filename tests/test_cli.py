@@ -93,11 +93,16 @@ class TestJobs:
 
 
 class TestSubcommands:
-    def test_mellin(self, capsys):
-        code, out = run(
-            capsys, "mellin", "--family", "classical", "--p", "3", "--c", "1",
-            "--k", "1..2",
-        )
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--family", "classical", "--p", "3", "--c", "1", "--k", "1..2"),
+            ("--family", "ps", "--p", "5", "--chi-conductor", "2", "--k", "1..3"),
+        ],
+        ids=["classical", "ps"],
+    )
+    def test_mellin(self, capsys, flags):
+        code, out = run(capsys, "mellin", *flags)
         assert code == 0
         for line in out.strip().splitlines()[1:]:
             assert float(line.split(",")[-1]) < 1e-8

@@ -1,10 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from genkl.padic import CapacityError, enumerate_dirichlet
+from genkl.padic import (
+    CapacityError,
+    DirichletCharacter,
+    enumerate_dirichlet,
+    gauss_sum_at_level,
+)
 from genkl.quadext import standard_extensions
 from genkl.extchars import enumerate_xi, eta_restriction, seed_conductors, sigma_conductor
 from genkl.families import (
@@ -26,6 +32,7 @@ from genkl.engine import (
     classical_S_many,
     composed_conductor,
     dihedral_sum_I,
+    gauss_level_table,
     h_global,
     h_global_many,
     h_global_table,
@@ -432,25 +439,63 @@ class TestHGlobal:
 
 
 class TestMellin:
+    # given mod 27 with conductor 3: both routes bring it to level 1 first
+    DEEP_ALPHA = (DirichletCharacter(3, 3, (9,)), 1)
+
     @pytest.mark.parametrize(
         "tf", ALL_SMALL_FAMILIES, ids=lambda t: t.tag
     )
     def test_direct_equals_closed(self, tf):
         p = tf.p
-        for k in range(0, 5):
-            if p**k > 700:
-                break
-            for alpha in enumerate_dirichlet(p, k):
-                d = mellin_direct(tf, alpha, k)
-                c = mellin_closed(tf, alpha, k)
-                assert abs(d - c) < 1e-8, (tf.tag, k, alpha.exps)
+        cases = [
+            (alpha, k)
+            for k in range(0, 5)
+            if p**k <= 700
+            for alpha in enumerate_dirichlet(p, k)
+        ]
+        for alpha, k in cases + [self.DEEP_ALPHA]:
+            d = mellin_direct(tf, alpha, k)
+            c = mellin_closed(tf, alpha, k)
+            assert abs(d - c) < 1e-8, (tf.tag, k, alpha.exps)
 
-    def test_direct_all_agrees_with_single(self):
-        tf = make_sc(3, 0)
-        k = 3
-        table = mellin_direct_all(tf, k)
-        for alpha in enumerate_dirichlet(3, k):
-            assert abs(table[alpha.exps] - mellin_direct(tf, alpha, k)) < 1e-10
+    def test_deep_alpha_reads_level_k(self):
+        alpha, k = self.DEEP_ALPHA
+        tf = Classical(3, 1)
+        at_level = alpha.restrict_to_conductor()
+        assert abs(mellin_direct(tf, alpha, k) - (-4)) < 1e-12
+        assert mellin_direct(tf, alpha, k) == mellin_direct(tf, at_level, k)
+        assert mellin_closed(tf, alpha, k) == mellin_closed(tf, at_level, k)
+
+    @pytest.mark.parametrize(
+        "tf",
+        ALL_SMALL_FAMILIES + [Classical(2, 1)],
+        ids=lambda t: f"{t.tag}-p{t.p}-kp{t.k_p()}",
+    )
+    def test_direct_all_matches_definition(self, tf):
+        # p^{-k} sum over units y of H(y,1;p^k) conj(alpha(y)); k = 0, and
+        # p = 2 at k = 1, have no generators
+        p = tf.p
+        for k in range(0, 5):
+            pk = p**k
+            vec = h_local_vector(tf, k)
+            table = mellin_direct_all(tf, k)
+            for alpha in enumerate_dirichlet(p, k):
+                want = sum(
+                    vec[y] * alpha(y).conjugate()
+                    for y in range(pk)
+                    if math.gcd(y, pk) == 1
+                ) / pk
+                assert abs(table[alpha.exps] - want) < 1e-10, (k, alpha.exps)
+
+    @pytest.mark.parametrize("p, kmax", [(2, 6), (3, 4), (5, 3)])
+    def test_gauss_level_table_matches_level_sums(self, p, kmax):
+        for k in range(0, kmax + 1):
+            table = gauss_level_table(p, k)
+            for chi in enumerate_dirichlet(p, k):
+                want = gauss_sum_at_level(chi, k)
+                assert abs(table[chi.exps] - want) <= 1e-12 * p ** (k / 2), (k, chi.exps)
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 0
 
     def test_deep_alpha_returns_zero(self):
         tf = Classical(3, 1)
@@ -515,7 +560,7 @@ class TestMellin:
             pk = 3**k
             table = mellin_direct_all(tf, k)
             vec = h_local_vector(tf, k)
-            lhs = sum(abs(v) ** 2 for v in table.values()) * pk * pk / phi_pk(3, k)
+            lhs = float((np.abs(table) ** 2).sum()) * pk * pk / phi_pk(3, k)
             rhs = sum(abs(vec[y]) ** 2 for y in range(1, pk) if y % 3)
             assert abs(lhs - rhs) < 1e-8 * max(1.0, rhs)
 

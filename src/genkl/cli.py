@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from .padic import CapacityError, check_capacity, enumerate_dirichlet
 from .quadext import standard_extensions
@@ -117,9 +116,6 @@ def _klsum_rows(tf, grid):
 
 
 def cmd_klsum(args):
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
-    jobs = min(args.jobs, os.cpu_count() or 1)
     tf = build_family(args)
     p = args.p
     ks = _parse_range(args.k)
@@ -138,38 +134,9 @@ def cmd_klsum(args):
             for m in _parse_range(args.m):
                 for n in _parse_range(args.n):
                     grid.append((m, n, k))
-    if jobs > 1:
-        rows = _parallel_klsum(args, grid, jobs)
-    else:
-        rows = _klsum_rows(tf, grid)
+    rows = _klsum_rows(tf, grid)
     _emit(rows, ("family", "p", "k", "m", "n", "re", "im", "vanishing_reason"), args)
     return 0
-
-
-_WORKER = {}
-
-
-def _worker_init(argdict):
-    ns = argparse.Namespace(**argdict)
-    _WORKER["tf"] = build_family(ns)
-
-
-def _worker_eval(chunk):
-    return _klsum_rows(_WORKER["tf"], chunk)
-
-
-def _parallel_klsum(args, grid, jobs):
-    from concurrent.futures import ProcessPoolExecutor
-
-    argdict = vars(args).copy()
-    for drop in ("func", "jobs", "out", "format", "k", "m", "n", "grid"):
-        argdict.pop(drop, None)
-    chunks = [grid[i :: jobs] for i in range(jobs)]
-    with ProcessPoolExecutor(jobs, initializer=_worker_init, initargs=(argdict,)) as ex:
-        parts = list(ex.map(_worker_eval, chunks))
-    merged = [row for part in parts for row in part]
-    merged.sort(key=lambda r: (r[2], r[3], r[4]))
-    return merged
 
 
 def cmd_mellin(args):
@@ -272,7 +239,9 @@ def cmd_identities(args):
     return 0 if not failures else 2
 
 
-def _sc_families(p, max_c_sigma=4):
+def _sc_families(p):
+    """The identity suites' supercuspidal families: every regular xi at the
+    seed conductors of each standard extension, c(sigma) <= 4 at odd p."""
     from .extchars import seed_conductors, sigma_conductor
 
     out = []
@@ -280,7 +249,7 @@ def _sc_families(p, max_c_sigma=4):
         restr = eta_restriction(ext)
         for c in seed_conductors(ext):
             for xi in enumerate_xi(ext, c, restr, regular_only=True):
-                if p != 2 and sigma_conductor(xi) > max_c_sigma:
+                if p != 2 and sigma_conductor(xi) > 4:
                     continue
                 out.append(Supercuspidal(xi))
     return out
@@ -404,8 +373,6 @@ def main(argv=None) -> int:
     sp.add_argument("--grid", choices=["units", "mn"], default="units")
     sp.add_argument("--m", default="1")
     sp.add_argument("--n", default="1")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes, at most the number of CPUs")
     sp.set_defaults(func=cmd_klsum)
 
     sp = sub.add_parser("mellin")

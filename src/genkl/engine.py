@@ -156,7 +156,7 @@ def dihedral_sum_I(ext: QuadExtension, xi: ExtCharacter, m: int, k: int) -> comp
     pk = ext.p**k
     total = 0j
     for u in norm_fiber(ext, k, m):
-        total += xi(u.pair) * e(-u.trace(), pk)
+        total += xi(u) * e(-ext.trace(u, pk), pk)
     return total
 
 
@@ -291,7 +291,8 @@ def _classical_scale(tf: Classical | NelsonEq, k: int) -> float:
     return float((nu(p**c) if k >= c else 0) - (nu(p ** (c - 1)) if k >= c - 1 else 0))
 
 
-def _sc_prefactor(tf: Supercuspidal, k: int) -> complex:
+@lru_cache(maxsize=256)
+def _sc_prefactor(tf: Supercuspidal, k: int, /) -> complex:
     """delta_p conj(gamma) p^{-d/2} xi(p^k), the constant with H_p(t,1;p^k)
     = prefactor * I_xi(t,p^k) at unit t.  xi(p^k) = eta(p)^k is the
     central-character weight of the modulus, needed for one constant gamma
@@ -342,13 +343,19 @@ def h_local_vector_definitional(tf: LocalTestFunction, k: int) -> np.ndarray:
         pk = p**k
         vec = np.zeros(pk, dtype=np.complex128)
         if k >= tf.base.support_exponent():
-            pref = _sc_prefactor(tf.base, k)
-            restrict = tf.p == 2 and tf.ext.e == 1
-            for xi1 in neighborhood_classes(tf.xi, tf.n, tf.a):
-                vec = vec + pref * I_xi_vector(xi1, k, restrict_U1=restrict)
+            vec = _sc_prefactor(tf.base, k) * _neighborhood_I_sum(tf.xi, tf.n, tf.a, k)
             vec[_nonunit_mask(p, k)] = 0
         return vec
     return h_local_vector(tf, k)
+
+
+def _neighborhood_I_sum(xi: ExtCharacter, n: int, a: int, k: int) -> np.ndarray:
+    """Sum of I_xi1(t, p^k) over one xi1 per class of neighborhood_classes(
+    xi, n, a), for every t; the units are cut to U_E(1) when a = 1."""
+    vec = np.zeros(xi.ext.p**k, dtype=np.complex128)
+    for xi1 in neighborhood_classes(xi, n, a):
+        vec = vec + I_xi_vector(xi1, k, restrict_U1=(a == 1))
+    return vec
 
 
 def _nelson_value(tf: NelsonEq, m: int, n: int, k: int) -> complex:
@@ -846,8 +853,7 @@ def stationary_decomposition_check(xi: ExtCharacter, m: int, k: int) -> tuple[co
     b_step = p ** (-(-(k - (e_ - 1)) // 2))
     lifts: dict[tuple[int, int], tuple[int, int]] = {}
     for u in norm_fiber(ext, k, m):
-        key = (u.a % a_step, u.b % b_step)
-        lifts.setdefault(key, u.pair)
+        lifts.setdefault((u[0] % a_step, u[1] % b_step), u)
     rhs = 0j
     for u0 in lifts.values():
         rhs += xi(u0) * e(-ext.trace(u0, pk), pk) * stationary_phase_R(xi, k, u0)
@@ -865,11 +871,9 @@ def averaging_identity_check(xi: ExtCharacter, n: int, m: int, k: int) -> dict:
     p, e_, d = ext.p, ext.e, ext.d
     i = 1 if (p == 2 and e_ == 1) else 0
     restrict = i == 1
-    reps = neighborhood_classes(xi, n, i)
+    n_classes = len(neighborhood_classes(xi, n, i))
     pk = p**k
-    avg = sum(
-        complex(I_xi_vector(xi1, k, restrict_U1=restrict)[m % pk]) for xi1 in reps
-    ) / len(reps)
+    avg = complex(_neighborhood_I_sum(xi, n, i, k)[m % pk]) / n_classes
     from .families import nbhd_threshold
 
     bound = nbhd_threshold(ext, xi.conductor(), n, i)
@@ -877,7 +881,7 @@ def averaging_identity_check(xi: ExtCharacter, n: int, m: int, k: int) -> dict:
         target = complex(I_xi_vector(xi, k, restrict_U1=restrict)[m % pk])
     else:
         target = 0j
-    ok = abs(avg - target) <= 1e-9 * max(1.0, math.sqrt(len(reps)) * p ** (k / 2))
+    ok = abs(avg - target) <= 1e-9 * max(1.0, math.sqrt(n_classes) * p ** (k / 2))
     report = {
         "ext": ext.label(),
         "n": n,
@@ -885,7 +889,7 @@ def averaging_identity_check(xi: ExtCharacter, n: int, m: int, k: int) -> dict:
         "k": k,
         "i": i,
         "bound": bound,
-        "classes": len(reps),
+        "classes": n_classes,
         "average": avg,
         "target": target,
         "ok": ok,

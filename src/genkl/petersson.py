@@ -123,9 +123,10 @@ class EigenData:
     def lam(self, n: int) -> complex:
         return self.lams[n - 1]
 
-    def hecke_spot_check(self, tol: float = 1e-9) -> bool:
+    def hecke_spot_check(self) -> bool:
         """lambda(m) lambda(n) = sum over d | (m,n), (d,N)=1 of
-        lambda(mn/d^2), spot-checked on small coprime-and-not pairs."""
+        lambda(mn/d^2), spot-checked to 1e-9 on small coprime-and-not
+        pairs."""
         L = len(self.lams)
         for m in range(2, 8):
             for n in range(2, 8):
@@ -136,7 +137,7 @@ class EigenData:
                     for d in range(1, min(m, n) + 1)
                     if m % d == 0 and n % d == 0 and math.gcd(d, self.level) == 1
                 )
-                if abs(self.lam(m) * self.lam(n) - rhs) > tol:
+                if abs(self.lam(m) * self.lam(n) - rhs) > 1e-9:
                     return False
         return True
 
@@ -296,14 +297,12 @@ def ratio_verify(
     kappas,
     pairs,
     c_max: int = 1000,
-    gtf: GlobalTestFunction | None = None,
     eigen: dict[int, EigenData] | None = None,
 ) -> dict:
     """|P(m,n)/P(1,1) - lambda(m) lambda(n)| for the one-dimensional
-    weights; returns the per-pair deviations and the maximum."""
-    gtf = gtf if gtf is not None else GlobalTestFunction(())
-    if gtf.locals:
-        raise ValueError("the ratio oracle needs the all-unramified tensor")
+    weights and the all-unramified tensor; returns the per-pair deviations
+    and the maximum."""
+    gtf = GlobalTestFunction(())
     for kappa in kappas:
         if kappa not in ONE_DIMENSIONAL_WEIGHTS:
             raise ValueError(f"dim S_kappa != 1 for kappa = {kappa}")

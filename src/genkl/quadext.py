@@ -159,58 +159,6 @@ class QuadExtension:
                 yield (a, b)
 
 
-@dataclass(frozen=True)
-class ExtResidue:
-    """a + b*alpha0 in O_E/p^k O_E."""
-
-    a: int
-    b: int
-    ext: QuadExtension
-    k: int
-
-    def __post_init__(self):
-        pk = self.ext.p**self.k
-        object.__setattr__(self, "a", self.a % pk)
-        object.__setattr__(self, "b", self.b % pk)
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
-    @property
-    def modulus(self) -> int:
-        return self.ext.p**self.k
-
-    def norm(self) -> int:
-        return self.ext.norm(self.pair, self.modulus)
-
-    def trace(self) -> int:
-        return self.ext.trace(self.pair, self.modulus)
-
-    def v_E(self):
-        return self.ext.v_E(self.pair, self.k)
-
-    def is_unit(self) -> bool:
-        return self.ext.is_unit(self.pair)
-
-    def conj(self) -> "ExtResidue":
-        a, b = self.ext.conj(self.pair, self.modulus)
-        return ExtResidue(a, b, self.ext, self.k)
-
-    def __mul__(self, other: "ExtResidue") -> "ExtResidue":
-        assert self.ext == other.ext and self.k == other.k
-        a, b = self.ext.mul(self.pair, other.pair, self.modulus)
-        return ExtResidue(a, b, self.ext, self.k)
-
-    def __add__(self, other: "ExtResidue") -> "ExtResidue":
-        assert self.ext == other.ext and self.k == other.k
-        return ExtResidue(self.a + other.a, self.b + other.b, self.ext, self.k)
-
-    def inverse(self) -> "ExtResidue":
-        a, b = self.ext.inv(self.pair, self.modulus)
-        return ExtResidue(a, b, self.ext, self.k)
-
-
 def standard_extensions(p: int) -> list[QuadExtension]:
     """One representative per quadratic-extension class of Q_p.
 
@@ -489,9 +437,6 @@ class UnitGroup:
         rep = self._class_rep((x[0] % self.pk, x[1] % self.pk))
         return self.dlog_map[rep]
 
-    def elements(self):
-        return self.dlog_map.keys()
-
     def depth(self, x: tuple[int, int]) -> int:
         """max v_E(u - 1) over the class of x, capped at m."""
         best = 0
@@ -572,7 +517,7 @@ def solve_norm_a(ext: QuadExtension, b: int, t: int, k: int) -> set[int]:
 
 
 def norm_fiber(ext: QuadExtension, k: int, t: int):
-    """Units u of O_E/p^k with Nm(u) = t mod p^k, as a generator.
+    """Units (a, b) of O_E/p^k with Nm = t mod p^k, as a generator.
 
     Cost O(p^k polylog): one quadratic solve per b.  Empty for non-unit t
     (norms of units are units).
@@ -584,9 +529,8 @@ def norm_fiber(ext: QuadExtension, k: int, t: int):
         return
     for b in range(pk):
         for a in sorted(solve_norm_a(ext, b, t, k)):
-            u = ExtResidue(a, b, ext, k)
-            if u.is_unit():
-                yield u
+            if ext.is_unit((a, b)):
+                yield (a, b)
 
 
 def norm_fiber_brute(ext: QuadExtension, k: int, t: int) -> set[tuple[int, int]]:

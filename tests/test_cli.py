@@ -40,57 +40,6 @@ class TestKlsum:
         _, out2 = run(capsys, *args)
         assert out1 == out2
 
-    def test_parallel_matches_serial(self, capsys):
-        base = ("klsum", "--family", "classical", "--p", "5", "--c", "1",
-                "--k", "2", "--grid", "units")
-        _, serial = run(capsys, *base, "--jobs", "1")
-        _, par = run(capsys, *base, "--jobs", "3")
-        assert serial == par
-
-
-class TestJobs:
-    BASE = ("klsum", "--family", "classical", "--p", "3", "--c", "1",
-            "--k", "1..2", "--grid", "units")
-
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """Replace ProcessPoolExecutor with a stand-in that records
-        max_workers and runs the chunks here, so no worker ever starts."""
-        import concurrent.futures
-        import os
-
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return map(fn, chunks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        return sizes
-
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_below_one_is_usage_error(self, capsys, pool_sizes, jobs):
-        code, out = run(capsys, *self.BASE, "--jobs", jobs)
-        assert code == 1 and out == ""
-        assert pool_sizes == []
-
-    def test_clamped_to_cpu_count(self, capsys, pool_sizes):
-        _, serial = run(capsys, *self.BASE)
-        code, par = run(capsys, *self.BASE, "--jobs", "10000")
-        assert code == 0 and par == serial
-        assert pool_sizes == [2]
-
 
 class TestSubcommands:
     @pytest.mark.parametrize(
@@ -151,6 +100,12 @@ class TestSubcommands:
     def test_online_flag_is_gone(self):
         with pytest.raises(SystemExit) as exc:
             main(["petersson-verify", "--kappa", "12", "--online"])
+        assert exc.value.code == 1
+
+    def test_jobs_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["klsum", "--family", "classical", "--p", "3", "--c", "1",
+                  "--k", "1", "--jobs", "2"])
         assert exc.value.code == 1
 
     def test_char_enum(self, capsys):

@@ -1,14 +1,21 @@
-"""Source hygiene: no class or function is silently shadowed.
+"""Source hygiene: no class or function is silently shadowed, and every
+genkl name the benchmark uses still exists.
 
 A second `class TestX` or `def f` in the same scope replaces the first, so
 the first one's tests never run and its code is dead.  Property setters and
 deleters reuse their getter's name by design and are exempt.
+
+The benchmark under perfbench/ wraps the names in its tracer's TRACED list
+and calls genkl from its output checks; a deletion that breaks either
+fails here instead of in a benchmark run.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 SOURCES = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "src" / "genkl").glob("*.py"))
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -59,3 +66,53 @@ def test_no_shadowed_definitions():
         for name, first, second in duplicate_definitions(path.read_text())
     ]
     assert not found, "\n".join(found)
+
+
+def _resolve(module: str, path: str):
+    obj = importlib.import_module(module)
+    for attr in path.split("."):
+        obj = getattr(obj, attr)
+    return obj
+
+
+def _traced_names() -> list[tuple[str, str]]:
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [(f"genkl.{mod}", path) for mod, path in tracer.TRACED]
+
+
+def _checks_names() -> list[tuple[str, str]]:
+    """(module, name) for every genkl name perfbench/checks.py imports,
+    and for every attribute it reads off an imported genkl module."""
+    tree = ast.parse((PERFBENCH / "checks.py").read_text())
+    names, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("genkl"):
+            for alias in node.names:
+                names.append((node.module, alias.name))
+                if node.module == "genkl":
+                    modules[alias.asname or alias.name] = f"genkl.{alias.name}"
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            names.append((modules[node.value.id], node.attr))
+    return names
+
+
+def test_benchmark_names_resolve():
+    traced, checked = _traced_names(), _checks_names()
+    assert traced
+    assert ("genkl.engine", "dihedral_sum_I") in checked
+    # checks.py calls this method on a family instance
+    checked.append(("genkl.families", "Supercuspidal.support_exponent"))
+    missing = []
+    for module, path in traced + checked:
+        try:
+            _resolve(module, path)
+        except (ImportError, AttributeError):
+            missing.append(f"{module}.{path}")
+    assert not missing, missing

@@ -919,16 +919,14 @@ def bound_report(tf: LocalTestFunction, m: int, n: int, k: int) -> list[BoundIte
     items = []
     trivial = float(tf.f_one()) * p ** (k + tf.support_exponent())
     items.append(BoundItem("trivial", trivial, mag, mag <= trivial * (1 + 1e-9)))
-    if isinstance(tf, (Classical, NelsonEq)):
+    if isinstance(tf, Classical) and k >= tf.c:
         vm = min(
             valuation(m, p) if m else k,
             valuation(n, p) if n else k,
             k,
         )
-        weil_S = 2 * p ** (k / 2) * p ** (vm / 2)
-        if isinstance(tf, Classical) and k >= tf.c:
-            weil = float(tf.delta_p()) * weil_S
-            items.append(BoundItem("weil", weil, mag, mag <= weil * (1 + 1e-9)))
+        weil = float(tf.delta_p()) * (2 * p ** (k / 2) * p ** (vm / 2))
+        items.append(BoundItem("weil", weil, mag, mag <= weil * (1 + 1e-9)))
     base = tf.base if isinstance(tf, SupercuspidalNbhd) else tf
     if isinstance(base, Supercuspidal):
         scalefac = tf.index() if isinstance(tf, SupercuspidalNbhd) else 1

@@ -20,6 +20,12 @@ from functools import lru_cache
 
 import numpy as np
 
+# numpy 2 loads numpy.fft on first use and numpy.ma on the first np.unique
+# call (about 15 ms); loading both here keeps that cost in start-up rather
+# than inside each command's first table
+import numpy.fft  # noqa: F401
+import numpy.ma  # noqa: F401
+
 # the one implementation; exported as genkl.BACKEND, which perfbench checks
 BACKEND = "python"
 

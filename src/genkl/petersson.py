@@ -3,7 +3,10 @@
 The geometric side has one path at every level: a table of H(m,n;c) over
 the admissible moduli c = k(F), 2k(F), ... <= c_max for a list of pairs,
 built once by engine.h_global_table, then summed against J-Bessel weights
-pair by pair in ascending c with Kahan compensation.  Eigenvalue data
+for every weight at once, one Kahan-compensated sum per (weight, pair) in
+ascending c.  The integer-order Bessel functions come from one numpy
+routine (power series at small x, Miller's backward recurrence elsewhere;
+DLMF 10.74(iv)), so this module does not import scipy.  Eigenvalue data
 comes from the eta-product / Eisenstein-series expansions (level 1), or
 from an append-only JSONL cache that is validated on ingest.  Only
 eigenvalue ratios are ever asserted: the ratio P(m,n)/P(1,1) removes the
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import jv
 
 from .engine import GlobalTestFunction, h_global_table
+from .padic import CapacityError
 
 # weights with dim S_kappa(SL_2(Z)) = 1
 ONE_DIMENSIONAL_WEIGHTS = (12, 16, 18, 20, 22, 26)
@@ -217,13 +220,93 @@ def petersson_geometric(
     if math.gcd(m * n, gtf.level) != 1 or m < 1 or n < 1:
         raise ValueError("m, n must be positive and coprime to the level")
     pairs = [(m, n)]
-    (value,) = _geometric_side(gtf, kappa, pairs, _h_table(gtf, pairs, c_max), c_max)
+    table = _h_table(gtf, pairs, c_max)
+    value = _geometric_side(gtf, (kappa,), pairs, table, c_max)[0, 0]
     return PeterssonValue(complex(value), _tail_estimate(gtf, kappa, m, n, c_max))
 
 
-# moduli per block of terms in _geometric_side: few J-Bessel calls, and
-# temporaries of a few hundred kB
-_BLOCK = 256
+# moduli per block of terms in _geometric_side: one Bessel table per block,
+# and temporaries under 1 MB each at six weights and a hundred pairs
+_BLOCK = 64
+
+# the largest Bessel argument 4 pi sqrt(mn)/k(F) accepted, as in
+# archimedean.X_CAP: Miller's recurrence starts above it, so its cost
+# grows with it
+X_CAP = 1.0e4
+
+# Miller's recurrence rescales an element once it exceeds this
+_RESCALE = 1.0e250
+
+
+def _bessel_J_table(orders, x) -> np.ndarray:
+    """J_nu(x) for every integer order nu >= 0 in orders and every x > 0,
+    shape (len(orders), *x.shape).
+
+    Where (x/2)^2 <= (min(orders) + 1)/2 the power series is summed: its
+    terms alternate and shrink at least twofold from the first, so the sum
+    keeps full relative accuracy.  Elsewhere Miller's backward recurrence
+    with the normalization J_0 + 2 sum J_2k = 1 gives every order in one
+    sweep (DLMF 10.74(iv))."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty((len(orders), *x.shape))
+    series = (x / 2) ** 2 <= (min(orders) + 1) / 2
+    out[:, series] = _bessel_series(orders, x[series])
+    if not series.all():
+        out[:, ~series] = _bessel_miller(orders, x[~series])
+    return out
+
+
+def _bessel_series(orders, x: np.ndarray) -> np.ndarray:
+    """(x/2)^nu / nu! sum_j (-x^2/4)^j / (j! (nu+1)_j) for a 1-d x."""
+    nu = np.array(orders, dtype=np.float64)[:, None]
+    half = x / 2
+    y = -half * half
+    term = np.ones((len(orders), len(x)))
+    total = term.copy()
+    j = 0
+    # the sum is at least 1/2, so this stops at full precision
+    while np.abs(term).max(initial=0.0) > 2.0**-54:
+        j += 1
+        term = term * y / (j * (j + nu))
+        total += term
+    # (x/2)^nu / nu! as a running product: it underflows only where the
+    # result does and never overflows in the series region
+    row = {order: i for i, order in enumerate(orders)}
+    lead = np.ones_like(x)
+    for j in range(1, max(orders) + 1):
+        lead = lead * half / j
+        if j in row:
+            total[row[j]] *= lead
+    return total
+
+
+def _bessel_miller(orders, x: np.ndarray) -> np.ndarray:
+    """Every order at once for a 1-d x by Miller's backward recurrence
+    J_{k-1} = (2k/x) J_k - J_{k+1}, started where J is negligible for the
+    largest of x and the orders (the turning point plus a margin that
+    grows as its cube root), each element rescaled before it overflows."""
+    top = max(max(orders), float(x.max()))
+    start = int(top + 10 * top ** (1 / 3) + 30)
+    row = {order: i for i, order in enumerate(orders)}
+    vals = np.empty((len(orders), len(x)))
+    two_over_x = 2 / x
+    after = np.zeros_like(x)
+    cur = np.full_like(x, 1e-300)  # J_start, up to a scale
+    norm = np.zeros_like(x)
+    for k in range(start, 0, -1):
+        after, cur = cur, k * two_over_x * cur - after  # cur is now J_{k-1}
+        if k % 2 == 1:
+            norm += cur if k == 1 else 2 * cur
+        if k - 1 in row:
+            vals[row[k - 1]] = cur
+        big = np.abs(cur) > _RESCALE
+        if big.any():
+            scale = np.where(big, 1 / _RESCALE, 1.0)
+            cur *= scale
+            after *= scale
+            norm *= scale
+            vals *= scale
+    return vals / norm
 
 
 def _moduli(gtf: GlobalTestFunction, c_max: int) -> range:
@@ -235,32 +318,39 @@ def _moduli(gtf: GlobalTestFunction, c_max: int) -> range:
 def _h_table(gtf: GlobalTestFunction, pairs, c_max: int) -> np.ndarray:
     """H(m,n;c) with one row per admissible modulus c <= c_max and one
     column per pair.  The sums do not depend on the weight, so one table
-    serves every kappa."""
+    serves every kappa.  Pairs whose Bessel argument at c = k(F) exceeds
+    X_CAP are refused before anything is built."""
     if c_max < 1:
         raise ValueError("c_max must be >= 1")
+    x_max = 4 * math.pi * math.sqrt(max(m * n for m, n in pairs)) / gtf.geometric_conductor
+    if x_max > X_CAP:
+        raise CapacityError(f"Bessel argument {x_max:.3g} exceeds {X_CAP:g}")
     ms, ns = np.array(pairs, dtype=np.int64).T
     return h_global_table(gtf, ms, ns, _moduli(gtf, c_max))
 
 
 def _geometric_side(
-    gtf: GlobalTestFunction, kappa: int, pairs, table: np.ndarray, c_max: int
+    gtf: GlobalTestFunction, kappas, pairs, table: np.ndarray, c_max: int
 ) -> np.ndarray:
-    """The geometric side for every pair from the table built by _h_table;
-    each pair is summed in ascending c with Kahan compensation.  The
-    J-Bessel weight depends on the pair only through mn, so it is
-    evaluated once per distinct product."""
+    """The geometric side from the table built by _h_table, one row per
+    kappa and one column per pair; each entry is summed in ascending c
+    with Kahan compensation.  The J-Bessel weights depend on the pair only
+    through mn, so each block of moduli gets one table over every order
+    and distinct product."""
+    orders = [kappa - 1 for kappa in kappas]
     ms, ns = np.array(pairs, dtype=np.int64).T
-    delta_inf = (kappa - 1) / (4 * math.pi)
+    delta_inf = np.array([(kappa - 1) / (4 * math.pi) for kappa in kappas])[:, None]
     diag = np.where(ms == ns, delta_inf * float(gtf.delta_fin), 0.0)
-    pref = (kappa - 1) / 2 * (1j) ** (-kappa)
+    pref = np.array([(kappa - 1) / 2 * (1j) ** (-kappa) for kappa in kappas])[:, None, None]
     products, col = np.unique(ms * ns, return_inverse=True)
     xs = 4 * math.pi * np.sqrt(products)
     cs = np.array(_moduli(gtf, c_max), dtype=np.float64)[:, None]
-    total = np.zeros(len(pairs), dtype=np.complex128)
-    comp = np.zeros(len(pairs), dtype=np.complex128)
+    total = np.zeros((len(orders), len(pairs)), dtype=np.complex128)
+    comp = np.zeros_like(total)
     for lo in range(0, len(cs), _BLOCK):
         c = cs[lo : lo + _BLOCK]
-        for term in pref * table[lo : lo + _BLOCK] / c * jv(kappa - 1, xs / c)[:, col]:
+        bessel = _bessel_J_table(orders, xs / c)[:, :, col]
+        for term in (pref * table[lo : lo + _BLOCK] / c * bessel).swapaxes(0, 1):
             y = term - comp
             t = total + y
             comp = (t - total) - y
@@ -270,11 +360,12 @@ def _geometric_side(
 
 def _tail_estimate(gtf: GlobalTestFunction, kappa: int, m: int, n: int, c_max: int) -> float:
     """Bound sum_{c > c_max} |H(m,n;c)/c J_{kappa-1}(4 pi sqrt(mn)/c)| via
-    |J_nu(x)| <= (x/2)^nu / nu! and |H| <= d(c) sqrt(c) * prod_p local
-    trivial bounds; crude but safely summable for kappa >= 4."""
+    |J_nu(x)| <= (x/2)^nu / nu! and the trivial bound |H| <= C c; crude
+    but safely summable for kappa >= 4."""
     x = 2 * math.pi * math.sqrt(m * n)
-    # |S(m,n;c0)| <= d(c0) sqrt(gcd..) sqrt(c0) <= c0; local factors bounded
-    # by f_p(1) p^{k+y_p} <= f_p(1) c_p^2 p^{y_p}: fold into C c^2
+    # |S(m,n;c0)| <= c0 and each local factor is at most
+    # f_p(1) p^{k+y_p} = f_p(1) c_p p^{y_p}, so |H| <= C c with
+    # C = prod_p f_p(1) p^{y_p}
     C = 1.0
     for tf in gtf.locals:
         C *= float(tf.f_one()) * tf.p ** tf.support_exponent()
@@ -312,9 +403,9 @@ def ratio_verify(
     n_need = max(max(m, n) for m, n in pairs)
     batch = [(1, 1), *pairs]
     table = _h_table(gtf, batch, c_max)
-    for kappa in kappas:
+    rows = _geometric_side(gtf, kappas, batch, table, c_max)
+    for kappa, (base, *vals) in zip(kappas, rows):
         data = (eigen or {}).get(kappa) or builtin_eigendata(kappa, n_need)
-        base, *vals = _geometric_side(gtf, kappa, batch, table, c_max)
         for (m, n), v in zip(pairs, vals):
             lam = (data.lam(m) * data.lam(n).conjugate()).real
             dev = abs(v / base - lam)

@@ -1,5 +1,6 @@
-"""Source hygiene: no class or function is silently shadowed, and every
-genkl name the benchmark uses still exists.
+"""Source hygiene: no class or function is silently shadowed, every
+genkl name the benchmark uses still exists, and scipy stays out of every
+module but the archimedean one.
 
 A second `class TestX` or `def f` in the same scope replaces the first, so
 the first one's tests never run and its code is dead.  Property setters and
@@ -12,7 +13,12 @@ fails here instead of in a benchmark run.
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import genkl
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -116,3 +122,34 @@ def test_benchmark_names_resolve():
         except (ImportError, AttributeError):
             missing.append(f"{module}.{path}")
     assert not missing, missing
+
+
+def _imported_modules(source: str) -> set[str]:
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module)
+    return out
+
+
+def test_only_archimedean_imports_scipy():
+    users = sorted(
+        path.name
+        for path in (ROOT / "src" / "genkl").glob("*.py")
+        if any(name.split(".")[0] == "scipy" for name in _imported_modules(path.read_text()))
+    )
+    assert users == ["archimedean.py"]
+
+
+def test_cli_and_petersson_load_no_scipy():
+    src = str(Path(genkl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, genkl, genkl.cli, genkl.petersson; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,7 +1,12 @@
 import json
+import math
 
+import mpmath
+import numpy as np
 import pytest
 
+from genkl import archimedean, petersson
+from genkl.padic import CapacityError
 from genkl.quadext import standard_extensions
 from genkl.extchars import enumerate_xi, eta_restriction
 from genkl.families import Supercuspidal
@@ -9,6 +14,7 @@ from genkl.engine import GlobalTestFunction
 from genkl.petersson import (
     EigenData,
     ONE_DIMENSIONAL_WEIGHTS,
+    _bessel_J_table,
     builtin_eigendata,
     delta_coeffs,
     eigenform_coeffs,
@@ -168,3 +174,79 @@ class TestGeometric:
             petersson_geometric(GlobalTestFunction(()), 13, 1, 1, 50)
         with pytest.raises(ValueError):
             ratio_verify([14], [(1, 1)], 50)
+
+
+class TestBesselTable:
+    ORDERS = (3, 11, 15, 25, 51)
+
+    @staticmethod
+    def _reference(orders, x):
+        with mpmath.workdps(40):
+            return np.array([[float(mpmath.besselj(nu, mpmath.mpf(float(v)))) for v in x]
+                             for nu in orders])
+
+    def _check(self, orders, x):
+        got = _bessel_J_table(orders, x)
+        ref = self._reference(orders, x)
+        assert got.shape == (len(orders), len(x))
+        assert np.isfinite(got).all()
+        err = np.abs(got - ref)
+        assert err.max() <= 1e-13
+        # full relative accuracy below the turning point, down to underflow
+        tight = (x[None, :] < np.array(orders)[:, None]) & (np.abs(ref) > 1e-290)
+        assert tight.sum() > 0
+        assert (err[tight] / np.abs(ref[tight])).max() <= 1e-12
+
+    def test_log_grid_vs_mpmath(self):
+        self._check(self.ORDERS, np.logspace(-5, 4, 181))
+
+    def test_both_sides_of_the_series_switch(self):
+        # the series is summed where (x/2)^2 <= (min order + 1)/2
+        for orders in [self.ORDERS, *((nu,) for nu in self.ORDERS)]:
+            edge = 2 * math.sqrt((min(orders) + 1) / 2)
+            x = edge * np.array([0.5, 0.999, 1 - 1e-12, 1.0, 1 + 1e-12, 1.001, 2.0])
+            self._check(orders, x)
+
+    def test_underflow_region(self):
+        # J_51(1e-5) is about 1e-336: the result underflows to (near) zero
+        # instead of turning into nan or inf
+        x = np.logspace(-5, -1, 9)
+        got = _bessel_J_table((51,), x)[0]
+        assert np.isfinite(got).all() and (got >= 0).all()
+        assert got[0] < 1e-300
+        self._check((25, 51), x)
+
+    def test_shape_follows_x(self):
+        x = np.array([[0.5, 7.0], [40.0, 3000.0]])
+        got = _bessel_J_table((11, 25), x)
+        assert got.shape == (2, 2, 2)
+        assert np.array_equal(got[:, 1, 1], _bessel_J_table((11, 25), x[1, 1:])[:, 0])
+
+
+class TestBesselCapacity:
+    def test_cap_matches_archimedean(self):
+        assert petersson.X_CAP == archimedean.X_CAP
+
+    def test_large_argument_fails_fast(self, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("H table built before the argument check")
+
+        monkeypatch.setattr(petersson, "h_global_table", no_table)
+        with pytest.raises(CapacityError, match="Bessel argument"):
+            petersson_geometric(GlobalTestFunction(()), 12, 10**8, 1, 10)
+        with pytest.raises(CapacityError, match="Bessel argument"):
+            ratio_verify([12], [(1, 1), (800, 800)], c_max=10**6)
+
+    def test_argument_at_the_cap_is_accepted(self):
+        from scipy.special import jv
+
+        # 4 pi sqrt(m) just below 1e4
+        m = int((petersson.X_CAP / (4 * math.pi)) ** 2)
+        gtf = GlobalTestFunction(())
+        table = petersson._h_table(gtf, [(m, 1)], 40)
+        got = petersson._geometric_side(gtf, (12, 26), [(m, 1)], table, 40)[:, 0]
+        c = np.arange(1, 41)
+        x = 4 * math.pi * math.sqrt(m)
+        for kappa, value in zip((12, 26), got):
+            want = (kappa - 1) / 2 * (1j) ** (-kappa) * np.sum(table[:, 0] / c * jv(kappa - 1, x / c))
+            assert abs(value - want) < 1e-11

@@ -19,6 +19,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import jv, loggamma, roots_legendre
 
+from .padic import BESSEL_X_CAP
+
 
 @dataclass(frozen=True)
 class Window:
@@ -77,7 +79,6 @@ class HoloWeight:
 SpectralWeight = Window | InitialSegment | HoloWeight
 
 ORDER_CAP = 200.0
-X_CAP = 1.0e4
 # Largest x where the series match mpmath to 1e-6 relative; beyond, the
 # J series and the imaginary part of the I series cancel too much.
 SIGNED_SERIES_X_CAP = 20.0
@@ -88,7 +89,7 @@ def bessel_J(order, x: float) -> complex:
     """J_order(x).  Real orders go through scipy's oscillatory-integral
     machinery for any x <= 1e4; genuinely complex orders use the power
     series with complex log-gamma, accurate for x <= 20."""
-    if abs(order) > ORDER_CAP or not 0 < x <= X_CAP:
+    if abs(order) > ORDER_CAP or not 0 < x <= BESSEL_X_CAP:
         raise ValueError("parameter range exceeded")
     order = complex(order)
     if order.imag == 0:

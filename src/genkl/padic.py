@@ -23,6 +23,9 @@ GROUP_CAPACITY = 10**7
 # Dihedral sums walk every pair (a, b) mod p^k; the largest walks recorded
 # are 2^26 (test suite) and 3^16 (klsum benchmark), 15x below this bound.
 PAIR_CAPACITY = 10**9
+# The largest J-Bessel argument accepted: archimedean.bessel_J and the
+# Petersson geometric side refuse beyond it.
+BESSEL_X_CAP = 1.0e4
 
 
 class CapacityError(Exception):

@@ -5,10 +5,12 @@ the admissible moduli c = k(F), 2k(F), ... <= c_max for a list of pairs,
 built once by engine.h_global_table, then summed against J-Bessel weights
 for every weight at once, one Kahan-compensated sum per (weight, pair) in
 ascending c.  The integer-order Bessel functions come from one numpy
-routine (power series at small x, Miller's backward recurrence elsewhere;
-DLMF 10.74(iv)), so this module does not import scipy.  Eigenvalue data
-comes from the eta-product / Eisenstein-series expansions (level 1), or
-from an append-only JSONL cache that is validated on ingest.  Only
+routine (power series at small x, Hankel's expansion and the forward
+recurrence at x above every order, Miller's backward recurrence in
+between; DLMF 10.17(i), 10.74(iv)), so this module does not import
+scipy.  Eigenvalue data comes from the eta-product / Eisenstein-series
+expansions (level 1), or from an append-only JSONL cache that is
+validated on ingest.  Only
 eigenvalue ratios are ever asserted: the ratio P(m,n)/P(1,1) removes the
 harmonic weight and the Petersson norm at one stroke in the
 one-dimensional weights.
@@ -25,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .engine import GlobalTestFunction, h_global_table
-from .padic import CapacityError
+from .padic import BESSEL_X_CAP, CapacityError
 
 # weights with dim S_kappa(SL_2(Z)) = 1
 ONE_DIMENSIONAL_WEIGHTS = (12, 16, 18, 20, 22, 26)
@@ -229,39 +231,58 @@ def petersson_geometric(
 # and temporaries under 1 MB each at six weights and a hundred pairs
 _BLOCK = 64
 
-# the largest Bessel argument 4 pi sqrt(mn)/k(F) accepted, as in
-# archimedean.X_CAP: Miller's recurrence starts above it, so its cost
-# grows with it
-X_CAP = 1.0e4
+# elements of x per pass of _bessel_J_table: each temporary is 512 kB
+# per order or less, whatever the size of the table
+_CHUNK = 1 << 16
 
 # Miller's recurrence rescales an element once it exceeds this
 _RESCALE = 1.0e250
 
+# Hankel's expansion of J_0 and J_1 reaches full precision from here on;
+# its smallest term is near exp(-2x), about 1e-22 at x = 25
+_HANKEL_X = 25.0
+
 
 def _bessel_J_table(orders, x) -> np.ndarray:
     """J_nu(x) for every integer order nu >= 0 in orders and every x > 0,
-    shape (len(orders), *x.shape).
+    shape (len(orders), *x.shape); repeated orders give equal rows.
 
     Where (x/2)^2 <= (min(orders) + 1)/2 the power series is summed: its
     terms alternate and shrink at least twofold from the first, so the sum
-    keeps full relative accuracy.  Elsewhere Miller's backward recurrence
-    with the normalization J_0 + 2 sum J_2k = 1 gives every order in one
-    sweep (DLMF 10.74(iv))."""
+    keeps full relative accuracy.  Where x >= max(max(orders), 25), J_0 and
+    J_1 come from Hankel's expansion and the forward recurrence, stable
+    for orders below x, gives the rest.  In between, Miller's backward
+    recurrence with the normalization J_0 + 2 sum J_2k = 1 gives every
+    order in one sweep (DLMF 10.17(i), 10.74(iv)).  The cost per element
+    grows with max(orders) but not with x."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty((len(orders), *x.shape))
-    series = (x / 2) ** 2 <= (min(orders) + 1) / 2
-    out[:, series] = _bessel_series(orders, x[series])
-    if not series.all():
-        out[:, ~series] = _bessel_miller(orders, x[~series])
-    return out
+    nus, inverse = np.unique(np.asarray(orders, dtype=np.int64), return_inverse=True)
+    inverse = inverse.reshape(-1)
+    out = np.empty((len(inverse), x.size))
+    flat = x.reshape(-1)
+    for lo in range(0, x.size if len(nus) else 0, _CHUNK):
+        chunk = flat[lo : lo + _CHUNK]
+        series = (chunk / 2) ** 2 <= (nus[0] + 1) / 2
+        hankel = ~series & (chunk >= max(nus[-1], _HANKEL_X))
+        miller = ~series & ~hankel
+        view = out[:, lo : lo + _CHUNK]
+        for region, method in (
+            (series, _bessel_series),
+            (miller, _bessel_miller),
+            (hankel, _bessel_hankel),
+        ):
+            if region.any():
+                view[:, region] = method(nus, chunk[region])[inverse]
+    return out.reshape(len(inverse), *x.shape)
 
 
-def _bessel_series(orders, x: np.ndarray) -> np.ndarray:
-    """(x/2)^nu / nu! sum_j (-x^2/4)^j / (j! (nu+1)_j) for a 1-d x."""
-    nu = np.array(orders, dtype=np.float64)[:, None]
+def _bessel_series(nus: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(x/2)^nu / nu! sum_j (-x^2/4)^j / (j! (nu+1)_j) for a 1-d x and
+    distinct orders nus."""
+    nu = nus.astype(np.float64)[:, None]
     half = x / 2
     y = -half * half
-    term = np.ones((len(orders), len(x)))
+    term = np.ones((len(nus), len(x)))
     total = term.copy()
     j = 0
     # the sum is at least 1/2, so this stops at full precision
@@ -271,24 +292,25 @@ def _bessel_series(orders, x: np.ndarray) -> np.ndarray:
         total += term
     # (x/2)^nu / nu! as a running product: it underflows only where the
     # result does and never overflows in the series region
-    row = {order: i for i, order in enumerate(orders)}
+    row = {int(order): i for i, order in enumerate(nus)}
     lead = np.ones_like(x)
-    for j in range(1, max(orders) + 1):
+    for j in range(1, int(nus[-1]) + 1):
         lead = lead * half / j
         if j in row:
             total[row[j]] *= lead
     return total
 
 
-def _bessel_miller(orders, x: np.ndarray) -> np.ndarray:
-    """Every order at once for a 1-d x by Miller's backward recurrence
-    J_{k-1} = (2k/x) J_k - J_{k+1}, started where J is negligible for the
-    largest of x and the orders (the turning point plus a margin that
-    grows as its cube root), each element rescaled before it overflows."""
-    top = max(max(orders), float(x.max()))
+def _bessel_miller(nus: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Distinct orders nus at once for a 1-d x by Miller's backward
+    recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started where J is
+    negligible for the largest of x and the orders (the turning point plus
+    a margin that grows as its cube root), each element rescaled before it
+    overflows."""
+    top = max(int(nus[-1]), float(x.max()))
     start = int(top + 10 * top ** (1 / 3) + 30)
-    row = {order: i for i, order in enumerate(orders)}
-    vals = np.empty((len(orders), len(x)))
+    row = {int(order): i for i, order in enumerate(nus)}
+    vals = np.zeros((len(nus), len(x)))
     two_over_x = 2 / x
     after = np.zeros_like(x)
     cur = np.full_like(x, 1e-300)  # J_start, up to a scale
@@ -309,6 +331,37 @@ def _bessel_miller(orders, x: np.ndarray) -> np.ndarray:
     return vals / norm
 
 
+def _bessel_hankel(nus: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Distinct orders nus for a 1-d x >= max(nus[-1], _HANKEL_X): J_0 and
+    J_1 from Hankel's expansion sqrt(2/(pi x)) (P cos w - Q sin w),
+    w = x - nu pi/2 - pi/4 (DLMF 10.17.3), then the forward recurrence
+    J_{k+1} = (2k/x) J_k - J_{k-1}.  cos w and sin w are formed from
+    cos x and sin x, so no rounded phase enters at large x."""
+    mu = np.array([0.0, 4.0])[:, None]  # 4 nu^2 for nu = 0, 1
+    term = np.ones((2, len(x)))  # a_k(nu) / x^k
+    p = term.copy()
+    q = np.zeros_like(p)
+    k = 0
+    while np.abs(term).max(initial=0.0) > 2.0**-56:
+        k += 1
+        term = term * (mu - (2 * k - 1) ** 2) / (8 * k * x)
+        if k % 2:
+            q += term if k % 4 == 1 else -term
+        else:
+            p += term if k % 4 == 0 else -term
+    c, s = np.cos(x), np.sin(x)
+    amp = 1 / np.sqrt(np.pi * x)
+    lo = amp * (p[0] * (c + s) - q[0] * (s - c))  # J_0
+    hi = amp * (p[1] * (s - c) + q[1] * (s + c))  # J_1
+    row = {int(order): i for i, order in enumerate(nus)}
+    vals = np.empty((len(nus), len(x)))
+    for k in range(int(nus[-1]) + 1):
+        if k in row:
+            vals[row[k]] = lo
+        lo, hi = hi, 2 * (k + 1) / x * hi - lo
+    return vals
+
+
 def _moduli(gtf: GlobalTestFunction, c_max: int) -> range:
     """The admissible moduli c = k(F), 2k(F), ... <= c_max, ascending."""
     kF = gtf.geometric_conductor
@@ -319,12 +372,12 @@ def _h_table(gtf: GlobalTestFunction, pairs, c_max: int) -> np.ndarray:
     """H(m,n;c) with one row per admissible modulus c <= c_max and one
     column per pair.  The sums do not depend on the weight, so one table
     serves every kappa.  Pairs whose Bessel argument at c = k(F) exceeds
-    X_CAP are refused before anything is built."""
+    BESSEL_X_CAP are refused before anything is built."""
     if c_max < 1:
         raise ValueError("c_max must be >= 1")
     x_max = 4 * math.pi * math.sqrt(max(m * n for m, n in pairs)) / gtf.geometric_conductor
-    if x_max > X_CAP:
-        raise CapacityError(f"Bessel argument {x_max:.3g} exceeds {X_CAP:g}")
+    if x_max > BESSEL_X_CAP:
+        raise CapacityError(f"Bessel argument {x_max:.3g} exceeds {BESSEL_X_CAP:g}")
     ms, ns = np.array(pairs, dtype=np.int64).T
     return h_global_table(gtf, ms, ns, _moduli(gtf, c_max))
 
@@ -349,8 +402,10 @@ def _geometric_side(
     comp = np.zeros_like(total)
     for lo in range(0, len(cs), _BLOCK):
         c = cs[lo : lo + _BLOCK]
-        bessel = _bessel_J_table(orders, xs / c)[:, :, col]
-        for term in (pref * table[lo : lo + _BLOCK] / c * bessel).swapaxes(0, 1):
+        terms = pref * table[lo : lo + _BLOCK]
+        terms /= c
+        terms *= _bessel_J_table(orders, xs / c)[:, :, col]
+        for term in terms.swapaxes(0, 1):
             y = term - comp
             t = total + y
             comp = (t - total) - y
@@ -412,5 +467,7 @@ def ratio_verify(
             report["entries"].append(
                 {"kappa": kappa, "m": m, "n": n, "ratio": (v / base).real, "target": lam, "dev": dev}
             )
-            report["max_deviation"] = max(report["max_deviation"], dev)
+    # np.max keeps a nan deviation, which the builtin max would drop
+    devs = [entry["dev"] for entry in report["entries"]]
+    report["max_deviation"] = float(np.max(devs, initial=0.0))
     return report

@@ -5,8 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from genkl import archimedean, petersson
-from genkl.padic import CapacityError
+from genkl import petersson
+from genkl.padic import BESSEL_X_CAP, CapacityError
 from genkl.quadext import standard_extensions
 from genkl.extchars import enumerate_xi, eta_restriction
 from genkl.families import Supercuspidal
@@ -216,6 +216,22 @@ class TestBesselTable:
         assert got[0] < 1e-300
         self._check((25, 51), x)
 
+    def test_both_sides_of_the_hankel_switch(self):
+        # Hankel's expansion and the forward recurrence from
+        # max(max order, 25) on; Miller's recurrence below
+        for orders in [(3,), (11, 15), (25,), self.ORDERS]:
+            edge = max(max(orders), 25.0)
+            x = edge * np.array([0.9, 0.999, 1 - 1e-12, 1.0, 1 + 1e-12, 1.001, 1.5])
+            self._check(orders, np.append(x, min(orders) / 2))
+
+    def test_repeated_and_unsorted_orders(self):
+        x = np.logspace(-3, 4, 57)
+        got = _bessel_J_table((25, 11, 25, 3), x)
+        want = _bessel_J_table((3, 11, 25), x)
+        for row, i in zip(got, (2, 1, 2, 0)):
+            assert np.array_equal(row, want[i])
+        assert _bessel_J_table((), x).shape == (0, len(x))
+
     def test_shape_follows_x(self):
         x = np.array([[0.5, 7.0], [40.0, 3000.0]])
         got = _bessel_J_table((11, 25), x)
@@ -224,9 +240,6 @@ class TestBesselTable:
 
 
 class TestBesselCapacity:
-    def test_cap_matches_archimedean(self):
-        assert petersson.X_CAP == archimedean.X_CAP
-
     def test_large_argument_fails_fast(self, monkeypatch):
         def no_table(*args, **kwargs):
             raise AssertionError("H table built before the argument check")
@@ -241,7 +254,7 @@ class TestBesselCapacity:
         from scipy.special import jv
 
         # 4 pi sqrt(m) just below 1e4
-        m = int((petersson.X_CAP / (4 * math.pi)) ** 2)
+        m = int((BESSEL_X_CAP / (4 * math.pi)) ** 2)
         gtf = GlobalTestFunction(())
         table = petersson._h_table(gtf, [(m, 1)], 40)
         got = petersson._geometric_side(gtf, (12, 26), [(m, 1)], table, 40)[:, 0]
@@ -250,3 +263,35 @@ class TestBesselCapacity:
         for kappa, value in zip((12, 26), got):
             want = (kappa - 1) / 2 * (1j) ** (-kappa) * np.sum(table[:, 0] / c * jv(kappa - 1, x / c))
             assert abs(value - want) < 1e-11
+
+
+class TestAllWeights:
+    def test_repeated_weight_rows_match_the_single_weight(self):
+        gtf = GlobalTestFunction(())
+        pairs = [(1, 1), (2, 3), (5, 5), (7, 1)]
+        table = petersson._h_table(gtf, pairs, 300)
+        twice = petersson._geometric_side(gtf, (12, 12), pairs, table, 300)
+        once = petersson._geometric_side(gtf, (12,), pairs, table, 300)
+        assert np.array_equal(twice[0], once[0])
+        assert np.array_equal(twice[1], once[0])
+
+    def test_repeated_weight_in_ratio_verify(self):
+        pairs = [(2, 3), (4, 4)]
+        twice = ratio_verify([12, 12], pairs, c_max=300)
+        once = ratio_verify([12], pairs, c_max=300)
+        assert twice["entries"] == once["entries"] * 2
+        assert twice["max_deviation"] == once["max_deviation"] < 1e-9
+
+    def test_no_weights_gives_an_empty_report(self):
+        assert ratio_verify([], [(1, 2)], c_max=50) == {"max_deviation": 0.0, "entries": []}
+
+    def test_nan_deviation_is_reported(self, monkeypatch):
+        def nan_side(gtf, kappas, pairs, table, c_max):
+            rows = np.ones((len(kappas), len(pairs)), dtype=complex)
+            rows[:, -1] = complex("nan")
+            return rows
+
+        monkeypatch.setattr(petersson, "_geometric_side", nan_side)
+        with np.errstate(invalid="ignore"):
+            report = ratio_verify([12], [(2, 3), (1, 2)], c_max=50)
+        assert math.isnan(report["max_deviation"])

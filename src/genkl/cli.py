@@ -98,21 +98,21 @@ def _emit(rows, header, args):
         else:
             out.write(",".join(header) + "\n")
             for row in rows:
-                out.write(",".join(str(x) for x in row) + "\n")
+                out.write(",".join(map(str, row)) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
 
 
-def _klsum_rows(tf, grid):
-    rows = []
-    for m, n, k in grid:
-        val = engine.h_local(tf, m, n, k)
-        rows.append(
-            (tf.tag, tf.p, k, m, n, _fmt(val.value.real), _fmt(val.value.imag),
-             val.vanishing_reason or "nonzero")
+def _klsum_rows(tf, ms, ns, k):
+    """One table row per (m, n) at p^k, from one h_local_many call."""
+    vals, reasons = engine.h_local_many(tf, ms, ns, k)
+    return [
+        (tf.tag, tf.p, k, m, n, _fmt(re), _fmt(im), reason or "nonzero")
+        for m, n, re, im, reason in zip(
+            ms, ns, vals.real.tolist(), vals.imag.tolist(), reasons
         )
-    return rows
+    ]
 
 
 def cmd_klsum(args):
@@ -121,20 +121,17 @@ def cmd_klsum(args):
     ks = _parse_range(args.k)
     for k in ks:
         check_capacity(p, k)
-    grid = []
+    rows = []
     for k in ks:
-        pk = p**k
         if args.grid == "units":
-            for t in range(1, pk):
-                if t % p:
-                    grid.append((t, 1, k))
-            if pk == 1:
-                grid.append((0, 1, k))
+            # at k = 0 the one class mod 1 is 0
+            ms = [t for t in range(1, p**k) if t % p] or [0]
+            ns = [1] * len(ms)
         else:
-            for m in _parse_range(args.m):
-                for n in _parse_range(args.n):
-                    grid.append((m, n, k))
-    rows = _klsum_rows(tf, grid)
+            grid = list(itertools.product(_parse_range(args.m), _parse_range(args.n)))
+            ms = [m for m, _ in grid]
+            ns = [n for _, n in grid]
+        rows += _klsum_rows(tf, ms, ns, k)
     _emit(rows, ("family", "p", "k", "m", "n", "re", "im", "vanishing_reason"), args)
     return 0
 
@@ -340,11 +337,12 @@ def _suite_mellin(p, failures):
 
 
 def cmd_petersson_verify(args):
-    from .petersson import ingest_eigendata, ratio_verify
+    from .petersson import check_ratio_capacity, ingest_eigendata, ratio_verify
 
     kappas = [int(k) for k in args.kappa.split(",")]
     if args.mmax < 1:
         raise ValueError("--mmax must be >= 1")
+    check_ratio_capacity(args.mmax**2, args.mmax**2, args.cmax)
     pairs = [(m, n) for m in range(1, args.mmax + 1) for n in range(1, args.mmax + 1)]
     eigen = None
     if args.eigen_cache:

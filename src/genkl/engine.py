@@ -334,6 +334,35 @@ def h_local(tf: LocalTestFunction, m: int, n: int, k: int) -> KloostermanValue:
     return out(0, "non-unit-mn")
 
 
+def h_local_many(tf: LocalTestFunction, ms, ns, k: int) -> tuple[np.ndarray, list]:
+    """H_p(m_i, n_i; p^k) for parallel sequences of m and n, with one
+    vanishing reason (or None) per entry, equal to h_local's entry by
+    entry: one k_p gate, the unit entries one fancy-index of
+    h_local_vector, the entries at p | mn one h_local call each."""
+    check_capacity(tf.p, k)
+    if len(ms) != len(ns):
+        raise ValueError("ms and ns must have the same length")
+    if k < tf.k_p():
+        return np.zeros(len(ms), dtype=np.complex128), ["below-k_p"] * len(ms)
+    p = tf.p
+    pk = p**k
+    vals = np.zeros(len(ms), dtype=np.complex128)
+    reasons = [None] * len(ms)
+    units, idx = [], []
+    for i, (m, n) in enumerate(zip(ms, ns)):
+        mn = m * n
+        if mn % p:
+            units.append(i)
+            idx.append(mn % pk)
+        else:
+            val = h_local(tf, m, n, k)
+            vals[i] = val.value
+            reasons[i] = val.vanishing_reason
+    if units:
+        vals[units] = h_local_vector(tf, k)[idx]
+    return vals, reasons
+
+
 def h_local_vector_definitional(tf: LocalTestFunction, k: int) -> np.ndarray:
     """H_p(t,1;p^k) along the defining decomposition where one exists: the
     neighborhood family is the sum of its member projectors' sums, so its
@@ -436,6 +465,12 @@ def h_global_many(gtf: GlobalTestFunction, ms, ns, c: int) -> np.ndarray:
     return h_global_table(gtf, ms, ns, [c])[0]
 
 
+def check_table_capacity(n_moduli: int, n_pairs: int):
+    """Refuse an H table of more than GROUP_CAPACITY entries."""
+    if n_moduli * n_pairs > GROUP_CAPACITY:
+        raise CapacityError(f"H table of {n_moduli} moduli x {n_pairs} pairs exceeds capacity")
+
+
 def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
     """H(m_j,n_j;c_i) with one row per modulus c_i and one column per pair.
 
@@ -451,8 +486,7 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
     and SupercuspidalNbhd vanish, so only Classical and NelsonEq call
     h_local there.  Zero whenever c misses the geometric conductor.
     """
-    if len(cs) * len(ms) > GROUP_CAPACITY:
-        raise CapacityError(f"H table of {len(cs)} moduli x {len(ms)} pairs exceeds capacity")
+    check_table_capacity(len(cs), len(ms))
     ms = np.asarray(ms, dtype=np.int64)
     ns = np.asarray(ns, dtype=np.int64)
     cs = np.asarray(cs, dtype=np.int64)

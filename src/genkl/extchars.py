@@ -221,20 +221,33 @@ def _quadratic_chars(p: int, j: int):
     return [c for c in enumerate_dirichlet(p, j) if c.order() in (1, 2)]
 
 
-def _phases_match(xi: ExtCharacter, restr: BaseRestriction) -> bool:
-    p, M = xi.ext.p, xi.group.M
+def _restriction_test(G: UnitGroup, restr: BaseRestriction):
+    """The test xi|_{Z_p^x} = restr.chi on the unit weights of a character
+    xi on G, its invariants built once: for each generator g of Z_p^x mod
+    p^M, the dlog of g in G and chi(g) as a phase mod chi.L * G.L.  None
+    when restr.chi has a deeper conductor than M: xi is trivial on U_F(M)
+    by construction, so it cannot restrict to it."""
+    p, M = G.ext.p, G.M
     prim = restr.chi.restrict_to_conductor()
     if prim.modulus_exponent > M:
-        # xi is trivial on U_F(M) by construction, so it cannot restrict to
-        # a character of deeper conductor
-        return False
+        return None
     chi = prim.extend(M)
     gens, _, _ = unit_group_zpk(p, M)
-    L = xi.group.L
-    return all(
-        xi.unit_phase(xi.group.embed_base_unit(g)) * chi.L == chi.phase(g) * L
-        for g in gens
-    )
+    L, chi_L = G.L, chi.L
+    checks = [(G.dlog(G.embed_base_unit(g)), chi.phase(g) * L) for g in gens]
+
+    def matches(weights) -> bool:
+        return all(
+            sum(w * d for w, d in zip(weights, dlog)) % L * chi_L == target
+            for dlog, target in checks
+        )
+
+    return matches
+
+
+def _phases_match(xi: ExtCharacter, restr: BaseRestriction) -> bool:
+    matches = _restriction_test(xi.group, restr)
+    return matches is not None and matches(xi._weights)
 
 
 def enumerate_xi(
@@ -247,11 +260,15 @@ def enumerate_xi(
     if c < 1:
         raise ValueError("conductor exponent must be >= 1 here")
     G = unit_group(ext, c)
+    matches = _restriction_test(G, restriction)
+    if matches is None:
+        return []
+    scale = [G.L // o for o in G.orders]
     out = []
     for exps in _exponent_vectors(G.orders):
-        probe = ExtCharacter(ext, G, exps, Fraction(0))
-        if not _phases_match(probe, restriction):
+        if not matches([x * s for x, s in zip(exps, scale)]):
             continue
+        probe = ExtCharacter(ext, G, exps, Fraction(0))
         if probe.conductor() != c:
             continue
         for unif in _unif_phases(ext, G, exps, restriction.at_p_phase):

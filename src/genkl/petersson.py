@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .engine import GlobalTestFunction, h_global_table
+from .engine import GlobalTestFunction, check_table_capacity, h_global_table
 from .padic import BESSEL_X_CAP, CapacityError
 
 # weights with dim S_kappa(SL_2(Z)) = 1
@@ -373,13 +373,27 @@ def _h_table(gtf: GlobalTestFunction, pairs, c_max: int) -> np.ndarray:
     column per pair.  The sums do not depend on the weight, so one table
     serves every kappa.  Pairs whose Bessel argument at c = k(F) exceeds
     BESSEL_X_CAP are refused before anything is built."""
-    if c_max < 1:
-        raise ValueError("c_max must be >= 1")
-    x_max = 4 * math.pi * math.sqrt(max(m * n for m, n in pairs)) / gtf.geometric_conductor
-    if x_max > BESSEL_X_CAP:
-        raise CapacityError(f"Bessel argument {x_max:.3g} exceeds {BESSEL_X_CAP:g}")
+    _check_table_size(gtf, max(m * n for m, n in pairs), len(pairs), c_max)
     ms, ns = np.array(pairs, dtype=np.int64).T
     return h_global_table(gtf, ms, ns, _moduli(gtf, c_max))
+
+
+def _check_table_size(gtf: GlobalTestFunction, mn_max: int, n_pairs: int, c_max: int):
+    """The refusals of _h_table from the sizes alone: c_max < 1, a Bessel
+    argument 4 pi sqrt(mn_max)/k(F) above BESSEL_X_CAP, or more entries
+    than h_global_table accepts."""
+    if c_max < 1:
+        raise ValueError("c_max must be >= 1")
+    x_max = 4 * math.pi * math.sqrt(mn_max) / gtf.geometric_conductor
+    if x_max > BESSEL_X_CAP:
+        raise CapacityError(f"Bessel argument {x_max:.3g} exceeds {BESSEL_X_CAP:g}")
+    check_table_capacity(len(_moduli(gtf, c_max)), n_pairs)
+
+
+def check_ratio_capacity(mn_max: int, n_pairs: int, c_max: int):
+    """Refuse what ratio_verify would refuse for n_pairs pairs with largest
+    product mn_max, before the caller builds the pairs."""
+    _check_table_size(GlobalTestFunction(()), mn_max, n_pairs + 1, c_max)
 
 
 def _geometric_side(

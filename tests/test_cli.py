@@ -41,6 +41,35 @@ class TestKlsum:
         assert out1 == out2
 
 
+class TestKlsumMatchesOnePoint:
+    @pytest.mark.parametrize("flags", [
+        "--family classical --p 3 --c 2",
+        "--family nelson --p 3 --c 3",
+        "--family ps --p 5 --chi-conductor 2",
+        "--family supercuspidal --p 3 --ext unramified --cxi 1",
+        "--family nbhd --p 3 --ext ramified --cxi 2 --n-radius 1",
+    ], ids=lambda flags: flags.split()[1])
+    def test_mn_grid_equals_h_local_rows(self, capsys, flags):
+        from genkl import engine
+        from genkl.cli import _Parser, _add_family_flags, build_family
+
+        parser = _Parser()
+        _add_family_flags(parser)
+        tf = build_family(parser.parse_args(flags.split()))
+        ms, ns, ks = range(-3, 11), (-2, 1, 3, 5), range(0, 5)
+        code, out = run(capsys, "klsum", *flags.split(), "--k", "0..4", "--grid", "mn",
+                        "--m=-3..10", "--n=-2,1,3,5")
+        assert code == 0
+        want = ["family,p,k,m,n,re,im,vanishing_reason"]
+        for k in ks:
+            for m in ms:
+                for n in ns:
+                    v = engine.h_local(tf, m, n, k)
+                    want.append(f"{tf.tag},{tf.p},{k},{m},{n},{v.value.real:.12g},"
+                                f"{v.value.imag:.12g},{v.vanishing_reason or 'nonzero'}")
+        assert out.splitlines() == want
+
+
 class TestSubcommands:
     @pytest.mark.parametrize(
         "flags",
@@ -138,6 +167,8 @@ class TestExitCodes:
         "klsum --family classical --p 3 --c 2 --k 25",
         pytest.param("klsum --family supercuspidal --p 3 --ext unramified --cxi 1 --k 12",
                      id="klsum-dihedral"),
+        pytest.param("klsum --family supercuspidal --p 3 --ext unramified --cxi 1 --k 1,12",
+                     id="klsum-dihedral-after-rows"),
         "identities --suite degeneration --p 10007",
         "mellin --family classical --p 3 --c 1 --k 25",
         "bounds --family classical --p 3 --c 1 --k 25",
@@ -145,6 +176,7 @@ class TestExitCodes:
         "char-enum --p 10007 --cxi 1",
         pytest.param("identities --suite stationary --p 10007", id="identities-stationary"),
         "petersson-verify --cmax 1000000000",
+        pytest.param("petersson-verify --mmax 3000", id="petersson-verify-mmax"),
     ], ids=lambda argv: argv.split()[0])
     def test_oversized_fails_fast(self, capsys, argv):
         import time
@@ -153,7 +185,9 @@ class TestExitCodes:
         code = main(argv.split())
         assert code == 3
         assert time.perf_counter() - t0 < 1.0
-        assert capsys.readouterr().err.startswith("capacity exceeded: ")
+        out, err = capsys.readouterr()
+        assert err.startswith("capacity exceeded: ")
+        assert out == ""
 
     @pytest.mark.parametrize("argv, message", [
         ("petersson-verify --cmax 0", "c_max must be >= 1"),

@@ -37,6 +37,7 @@ from genkl.engine import (
     h_global_many,
     h_global_table,
     h_local,
+    h_local_many,
     h_local_vector,
     h_local_vector_definitional,
     langlands_gamma,
@@ -299,6 +300,46 @@ class TestHLocal:
             gated = h_local_vector(tf, k)
             defn = h_local_vector_definitional(tf, k)
             assert np.abs(gated - defn).max() < 1e-8
+
+
+class TestHLocalMany:
+    @pytest.mark.parametrize(
+        "tf",
+        ALL_SMALL_FAMILIES + [make_sc(2, 0)],
+        ids=lambda t: f"{t.tag}-p{t.p}-kp{t.k_p()}",
+    )
+    def test_equals_one_point_calls(self, tf):
+        # entry by entry and bit for bit: k = 0, below and from k_p on, p
+        # dividing m or n, m = 0 and negative m
+        p = tf.p
+        pairs = [
+            (m, n)
+            for m in (-2 * p - 1, -p, -1, 0, 1, 2, p, p + 1, p * p + 2, 7 * p**3 + 1)
+            for n in (1, 2, p, -1 - p)
+        ]
+        ms = [m for m, _ in pairs]
+        ns = [n for _, n in pairs]
+        for k in range(0, tf.k_p() + 3):
+            vals, reasons = h_local_many(tf, ms, ns, k)
+            assert vals.dtype == np.complex128
+            assert len(vals) == len(reasons) == len(pairs)
+            for (m, n), v, reason in zip(pairs, vals, reasons):
+                want = h_local(tf, m, n, k)
+                assert np.complex128(want.value).tobytes() == v.tobytes(), (m, n, k)
+                assert reason == want.vanishing_reason, (m, n, k)
+
+    def test_empty_and_mismatched(self):
+        tf = Classical(3, 1)
+        vals, reasons = h_local_many(tf, [], [], 2)
+        assert vals.shape == (0,) and reasons == []
+        with pytest.raises(ValueError):
+            h_local_many(tf, [1, 2], [1], 2)
+
+    def test_capacity_refused(self):
+        with pytest.raises(CapacityError):
+            h_local_many(Classical(3, 2), [1], [1], 25)
+        with pytest.raises(CapacityError):
+            h_local_many(make_sc(3, 0), [1], [1], 12)
 
 
 class TestStructuralProperties:

@@ -18,6 +18,7 @@ from genkl.extchars import (
     neighborhood_classes,
     neighborhood_index,
     postnikov_linearize,
+    seed_conductors,
     sigma_conductor,
 )
 
@@ -122,6 +123,29 @@ class TestEnumerate:
             want = restr.chi.restrict_to_conductor()
             assert prim == want
             assert xi.base_phase_at(3) == restr.at_p_phase
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_equals_per_candidate_restriction(self, p):
+        # the restriction test built once per call keeps the characters, in
+        # the same order, whose restriction to Z_p^x is eta's unit part
+        from genkl.extchars import _unif_phases
+
+        for ext in standard_extensions(p):
+            restr = eta_restriction(ext)
+            prim = restr.chi.restrict_to_conductor()
+            for c in seed_conductors(ext):
+                G = unit_group(ext, c)
+                want = [
+                    ExtCharacter(ext, G, probe.exps, unif)
+                    for probe in all_group_chars(ext, c)
+                    if probe.conductor() == c
+                    and probe.restrict_to_base_units().restrict_to_conductor() == prim
+                    for unif in _unif_phases(ext, G, probe.exps, restr.at_p_phase)
+                ]
+                assert want
+                assert enumerate_xi(ext, c, restr) == want
+                regular = [xi for xi in want if is_regular(xi)]
+                assert enumerate_xi(ext, c, restr, regular_only=True) == regular
 
     def test_galois_norm_compatibility(self, xi_unram3_c1, xi_ram3_c2):
         # xi(u) xi(u^sigma) = xi(Nm u) with Nm u embedded in the base

@@ -312,41 +312,26 @@ def _nonunit_mask(p: int, k: int) -> np.ndarray:
 
 
 def h_local(tf: LocalTestFunction, m: int, n: int, k: int) -> KloostermanValue:
-    """H_p(m, n; p^k) for the five families: zero below k_p; at a unit mn
-    the entry mn of h_local_vector (H(m,n) = H(mn,1) for a unit n); at
-    p | mn the classical sum, Nelson's Moebius sum, or zero for the newform
-    projectors."""
-    check_capacity(tf.p, k)
-    p = tf.p
-    pk = p**k
-
-    def out(value, reason=None):
-        return KloostermanValue(complex(value), tf.tag, p, k, m, n, reason)
-
-    if k < tf.k_p():
-        return out(0, "below-k_p")
-    if (m * n) % p:
-        return out(h_local_vector(tf, k)[m * n % pk])
-    if isinstance(tf, Classical):
-        return out(float(tf.delta_p()) * classical_S(m, n, pk))
-    if isinstance(tf, NelsonEq):
-        return out(_nelson_value(tf, m, n, k))
-    return out(0, "non-unit-mn")
+    """H_p(m, n; p^k) for the five families: the one-point call of
+    h_local_many."""
+    vals, reasons = h_local_many(tf, (m,), (n,), k)
+    return KloostermanValue(complex(vals[0]), tf.tag, tf.p, k, m, n, reasons[0])
 
 
 def h_local_many(tf: LocalTestFunction, ms, ns, k: int) -> tuple[np.ndarray, list]:
     """H_p(m_i, n_i; p^k) for parallel sequences of m and n, with one
-    vanishing reason (or None) per entry, equal to h_local's entry by
-    entry: one k_p gate, the unit entries one fancy-index of
-    h_local_vector, the entries at p | mn one h_local call each."""
+    vanishing reason (or None) per entry.  Zero below k_p; at a unit mn the
+    entry mn of h_local_vector (H(m,n) = H(mn,1) for a unit n); at p | mn
+    the classical sum, Nelson's Moebius sum, or zero for the newform
+    projectors."""
     check_capacity(tf.p, k)
     if len(ms) != len(ns):
         raise ValueError("ms and ns must have the same length")
+    vals = np.zeros(len(ms), dtype=np.complex128)
     if k < tf.k_p():
-        return np.zeros(len(ms), dtype=np.complex128), ["below-k_p"] * len(ms)
+        return vals, ["below-k_p"] * len(ms)
     p = tf.p
     pk = p**k
-    vals = np.zeros(len(ms), dtype=np.complex128)
     reasons = [None] * len(ms)
     units, idx = [], []
     for i, (m, n) in enumerate(zip(ms, ns)):
@@ -354,10 +339,12 @@ def h_local_many(tf: LocalTestFunction, ms, ns, k: int) -> tuple[np.ndarray, lis
         if mn % p:
             units.append(i)
             idx.append(mn % pk)
+        elif isinstance(tf, Classical):
+            vals[i] = float(tf.delta_p()) * classical_S(m, n, pk)
+        elif isinstance(tf, NelsonEq):
+            vals[i] = _nelson_value(tf, m, n, k)
         else:
-            val = h_local(tf, m, n, k)
-            vals[i] = val.value
-            reasons[i] = val.vanishing_reason
+            reasons[i] = "non-unit-mn"
     if units:
         vals[units] = h_local_vector(tf, k)[idx]
     return vals, reasons
@@ -480,11 +467,9 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
     n cbar_0; p^{v_p(c)}).  For q not dividing gcd(m,n) the factor at q is
     S(mn sbar^2, 1; q^e), one entry of the cached FFT vector
     _classical_S_vector(q, e); for q | gcd(m,n) it is S(m, n sbar^2; q^e),
-    one classical_S_many call per prime power.  Likewise, at a ramified p
-    not dividing mn the factor is the entry mn cbar_0^2 of the cached
-    h_local_vector(tf, v_p(c)).  At p | mn PrincipalSeries, Supercuspidal
-    and SupercuspidalNbhd vanish, so only Classical and NelsonEq call
-    h_local there.  Zero whenever c misses the geometric conductor.
+    one classical_S_many call per prime power.  The factors at a ramified p
+    are one h_local_many call per v = v_p(c) over the rows with that v and
+    every pair.  Zero whenever c misses the geometric conductor.
     """
     check_table_capacity(len(cs), len(ms))
     ms = np.asarray(ms, dtype=np.int64)
@@ -511,27 +496,18 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
             n2 = np.multiply.outer(sbar2, ns[cols] % qe) % qe
             m2 = np.broadcast_to(ms[cols], n2.shape)
             table[np.ix_(rows, cols)] *= classical_S_many(m2.ravel(), n2.ravel(), qe).reshape(n2.shape)
+    m_list, n_list = ms.tolist(), ns.tolist()
     for tf in gtf.locals:
         p = tf.p
         vs = np.array([valuation(c // c_0, p) for c, c_0 in zip(cs.tolist(), c0.tolist())])
-        unit = (ms % p != 0) & (ns % p != 0)
-        cols = np.flatnonzero(unit)
         for v in np.unique(vs).tolist():
             rows = np.flatnonzero(vs == v)
-            pv = p**v
-            cbar = np.array([pow(c_0, -1, pv) for c_0 in c0[rows].tolist()], dtype=np.int64)
-            mn = ms[cols] % pv * (ns[cols] % pv) % pv
-            idx = np.multiply.outer(cbar * cbar % pv, mn) % pv
-            table[np.ix_(rows, cols)] *= h_local_vector(tf, v)[idx]
-        if not isinstance(tf, (Classical, NelsonEq)):
-            # the newform projectors vanish at p | mn (h_local's non-unit-mn
-            # and below-k_p); multiplying by 0j keeps h_local's signed zeros
-            table[:, ~unit] *= 0j
-            continue
-        cbars = [pow(c_0, -1, gtf.level * (c // c_0)) for c, c_0 in zip(cs.tolist(), c0.tolist())]
-        for col in np.flatnonzero(~unit).tolist():
-            m, n = int(ms[col]), int(ns[col])
-            table[:, col] *= [h_local(tf, m * cb, n * cb, v).value for cb, v in zip(cbars, vs.tolist())]
+            # the factor depends on cbar_0 mod p^v only; mod p^(v+1) it is
+            # a unit at p also when v = 0
+            cbars = [pow(c_0, -1, p ** (v + 1)) for c_0 in c0[rows].tolist()]
+            mc = [m * cb for cb in cbars for m in m_list]
+            nc = [n * cb for cb in cbars for n in n_list]
+            table[rows] *= h_local_many(tf, mc, nc, v)[0].reshape(len(rows), len(ms))
     return table
 
 

@@ -16,6 +16,7 @@ arguments, so each value has one cache key.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -265,7 +266,7 @@ def enumerate_xi(
         return []
     scale = [G.L // o for o in G.orders]
     out = []
-    for exps in _exponent_vectors(G.orders):
+    for exps in itertools.product(*(range(o) for o in G.orders)):
         if not matches([x * s for x, s in zip(exps, scale)]):
             continue
         probe = ExtCharacter(ext, G, exps, Fraction(0))
@@ -286,15 +287,6 @@ def seed_conductors(ext: QuadExtension) -> list[int]:
     if ext.p != 2:
         return [1, 2] if ext.e == 1 else [2]
     return [5] if ext.e == 1 else [8]
-
-
-def _exponent_vectors(orders):
-    if not orders:
-        yield ()
-        return
-    import itertools
-
-    yield from itertools.product(*(range(o) for o in orders))
 
 
 def _unif_phases(ext, G, exps, at_p_phase: Fraction):
@@ -389,7 +381,7 @@ def _trivial_restriction_unit_parts(G: UnitGroup, n: int):
     gens, _, _ = unit_group_zpk(p, M)
     base_gens = [G.embed_base_unit(g) for g in gens]
     out = []
-    for exps in _exponent_vectors(G.orders):
+    for exps in itertools.product(*(range(o) for o in G.orders)):
         theta = ExtCharacter(G.ext, G, exps, Fraction(0))
         if any(theta.unit_phase(g) != 0 for g in base_gens):
             continue

@@ -12,6 +12,7 @@ numerators.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -381,18 +382,10 @@ class DirichletCharacter:
 def enumerate_dirichlet(p: int, k: int) -> list[DirichletCharacter]:
     """All phi(p^k) characters mod p^k."""
     _, orders, _ = unit_group_zpk(p, k)
-    chars = [DirichletCharacter(p, k, ())] if not orders else []
-    if orders:
-        def rec(prefix):
-            i = len(prefix)
-            if i == len(orders):
-                chars.append(DirichletCharacter(p, k, tuple(prefix)))
-                return
-            for x in range(orders[i]):
-                rec(prefix + [x])
-
-        rec([])
-    return chars
+    return [
+        DirichletCharacter(p, k, exps)
+        for exps in itertools.product(*(range(o) for o in orders))
+    ]
 
 
 def legendre_symbol(a: int, p: int) -> int:

@@ -167,6 +167,30 @@ def write_eigen_cache(path: str, data: EigenData):
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _cache_record(line: str, lineno: int) -> dict:
+    """One cache line as a record: an object with every key, n an integer
+    >= 1 and both parts of lambda finite numbers; else ValueError."""
+
+    def bad(why):
+        return ValueError(f"malformed cache record on line {lineno} ({why}): {line[:80]}")
+
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise bad("not JSON") from exc
+    if not isinstance(rec, dict):
+        raise bad("not an object")
+    for key in ("level", "weight", "n", "lambda_re", "lambda_im"):
+        if key not in rec:
+            raise bad(f"no {key!r}")
+    if type(rec["n"]) is not int or rec["n"] < 1:
+        raise bad("n is not an integer >= 1")
+    for key in ("lambda_re", "lambda_im"):
+        if type(rec[key]) not in (int, float) or not math.isfinite(rec[key]):
+            raise bad(f"{key} is not a finite number")
+    return rec
+
+
 def ingest_eigendata(source: str, level: int, weight: int) -> EigenData:
     """Read eigenvalues from a JSONL cache, checking normalization,
     completeness and the Hecke relations before returning them."""
@@ -175,17 +199,14 @@ def ingest_eigendata(source: str, level: int, weight: int) -> EigenData:
     lams: dict[int, complex] = {}
     src_tag = "external-cache"
     with open(source) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed cache record: {line[:80]}") from exc
-            if rec.get("level") != level or rec.get("weight") != weight:
+            rec = _cache_record(line, lineno)
+            if rec["level"] != level or rec["weight"] != weight:
                 continue
-            lams[int(rec["n"])] = complex(rec["lambda_re"], rec["lambda_im"])
+            lams[rec["n"]] = complex(rec["lambda_re"], rec["lambda_im"])
             src_tag = rec.get("source", src_tag)
     if not lams or 1 not in lams:
         raise ValueError("cache holds no usable records for this form")

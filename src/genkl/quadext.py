@@ -201,35 +201,37 @@ def eta_char(ext: QuadExtension, x) -> int:
 
 
 def _smith_normal_form(R: list[list[int]]):
-    """Smith normal form D = U R V over Z with U, V unimodular.
+    """Smith normal form D = U R V over Z with U, V unimodular, returned
+    as (D, V, V^{-1}); U is not kept.
 
-    Plain elementary-operation algorithm; matrices here stay tiny.
+    Plain elementary-operation algorithm; matrices here stay tiny.  V^{-1}
+    follows the column operations on V as row operations.
     """
     n = len(R)
     m = len(R[0]) if n else 0
     D = [row[:] for row in R]
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
     V = [[int(i == j) for j in range(m)] for i in range(m)]
+    V_inv = [row[:] for row in V]
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in D:
             row[i], row[j] = row[j], row[i]
         for row in V:
             row[i], row[j] = row[j], row[i]
+        V_inv[i], V_inv[j] = V_inv[j], V_inv[i]
 
     def add_row(i, j, c):  # row_i += c * row_j
         D[i] = [a + c * b for a, b in zip(D[i], D[j])]
-        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
 
-    def add_col(i, j, c):  # col_i += c * col_j
+    def add_col(i, j, c):  # col_i += c * col_j; row_j -= c * row_i on V^{-1}
         for row in D:
             row[i] += c * row[j]
         for row in V:
             row[i] += c * row[j]
+        V_inv[j] = [a - c * b for a, b in zip(V_inv[j], V_inv[i])]
 
     t = 0
     while t < min(n, m):
@@ -277,32 +279,8 @@ def _smith_normal_form(R: list[list[int]]):
             continue
         if D[t][t] < 0:
             D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
         t += 1
-    return D, U, V
-
-
-def _matinv_int(M):
-    """Inverse of a unimodular integer matrix (exact, via adjugate)."""
-    n = len(M)
-    import fractions
-
-    A = [[fractions.Fraction(M[i][j]) for j in range(n)] for i in range(n)]
-    I = [[fractions.Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        I[col], I[piv] = I[piv], I[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        I[col] = [x * inv for x in I[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-                I[r] = [x - f * y for x, y in zip(I[r], I[col])]
-    out = [[int(x) for x in row] for row in I]
-    return out
+    return D, V, V_inv
 
 
 class UnitGroup:
@@ -405,8 +383,7 @@ class UnitGroup:
         # G = Z^s / (row span of R); Smith form D = U R V diagonalizes the
         # relation lattice.  New generators come from rows of V^{-1} and the
         # canonical dlog is w = V^T v (mod the invariant factors).
-        D, _, V = _smith_normal_form(R)
-        V_inv = _matinv_int(V)
+        D, V, V_inv = _smith_normal_form(R)
         invariants = [D[i][i] for i in range(s)]
         keep = [i for i in range(s) if invariants[i] != 1]
         self.orders = [invariants[i] for i in keep]

@@ -10,6 +10,7 @@ from genkl.padic import (
     DirichletCharacter,
     enumerate_dirichlet,
     gauss_sum_at_level,
+    valuation,
 )
 from genkl.quadext import standard_extensions
 from genkl.extchars import enumerate_xi, eta_restriction, seed_conductors, sigma_conductor
@@ -442,6 +443,42 @@ class TestHGlobal:
         assert np.count_nonzero(table[:, unit]) > 0
         assert np.array_equal(table[:, unit], units_only)
         assert not table[:, ~unit].any()
+
+    def test_table_nelson_factor(self, monkeypatch):
+        # a Nelson factor at p = 3, mostly at pairs with 3 | gcd(m, n): every
+        # row against twisted multiplicativity, with the local factor
+        # written out from classical_S (the e | p^c terms plus the d = p
+        # Moebius term), and no h_local call on either side
+        from genkl.padic import nu
+
+        def no_call(*args):
+            raise AssertionError("h_local called")
+
+        monkeypatch.setattr(engine, "h_local", no_call)
+        p, c = 3, 3
+        gtf = GlobalTestFunction((NelsonEq(p, c),))
+        pairs = [(3, 3), (3, 6), (9, 3), (6, 15), (12, 21), (27, 9), (0, 3), (1, 1), (3, 1), (2, 5)]
+        ms, ns = np.array(pairs).T
+        cs = [c0 * p**v for v in range(5) for c0 in (1, 2, 5, 7, 10, 11)]
+        table = h_global_table(gtf, ms, ns, cs)
+        assert np.count_nonzero(table) > len(table)
+        for cc, row in zip(cs, table):
+            v = valuation(cc, p)
+            c0, cN = cc // p**v, p**v
+            cbar_N, cbar_0 = pow(cN, -1, c0), pow(c0, -1, p * cN)
+            want = []
+            for m, n in pairs:
+                m1, n1 = m * cbar_0, n * cbar_0
+                local = 0
+                for ve in (0, 1):
+                    if v < c - ve:
+                        continue
+                    term = nu(p ** (c - ve)) * classical_S(m1, n1, p**v)
+                    if m % p == 0 and n % p == 0:
+                        term -= p**2 * nu(p ** (c - 1 - ve)) * classical_S(m1 // p, n1 // p, p ** (v - 1))
+                    local += (-1) ** ve * term
+                want.append(classical_S(cbar_N * m, cbar_N * n, c0) * local)
+            assert np.allclose(row, want, rtol=1e-12, atol=1e-9), cc
 
     def test_table_guards(self):
         gtf = GlobalTestFunction(())

@@ -90,6 +90,30 @@ class TestCache:
         with pytest.raises(ValueError):
             ingest_eigendata(path, 1, 12)
 
+    @pytest.mark.parametrize("bad", [
+        "[1, 2]",
+        '"just a string"',
+        {"level": 1, "weight": 12, "lambda_re": 1.0, "lambda_im": 0.0},
+        {"level": 1, "weight": 12, "n": 2, "lambda_re": 1.0},
+        {"level": 1, "weight": 12, "n": 2, "lambda_re": "x", "lambda_im": 0.0},
+        {"level": 1, "weight": 12, "n": 2, "lambda_re": math.nan, "lambda_im": 0.0},
+        {"level": 1, "weight": 12, "n": 2, "lambda_re": 0.0, "lambda_im": math.inf},
+        {"level": 1, "weight": 12, "n": 2, "lambda_re": True, "lambda_im": 0.0},
+        {"level": 1, "weight": 12, "n": 0, "lambda_re": 1.0, "lambda_im": 0.0},
+        {"level": 1, "weight": 12, "n": 2.0, "lambda_re": 1.0, "lambda_im": 0.0},
+        {"level": 1, "weight": 12, "n": "2", "lambda_re": 1.0, "lambda_im": 0.0},
+    ], ids=["list", "string", "no-n", "no-lambda_im", "string-value", "nan",
+            "infinity", "bool-value", "n-zero", "n-float", "n-string"])
+    def test_unusable_record_names_its_line(self, tmp_path, bad):
+        # a valid cache with one bad line appended: the bad line is the
+        # tenth; NaN at lambda(2) would pass the Hecke spot check
+        path = str(tmp_path / "bad.jsonl")
+        write_eigen_cache(path, builtin_eigendata(12, 9))
+        with open(path, "a") as fh:
+            fh.write((bad if isinstance(bad, str) else json.dumps(bad)) + "\n")
+        with pytest.raises(ValueError, match="line 10"):
+            ingest_eigendata(path, 1, 12)
+
     def test_offline_never_touches_network(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ingest_eigendata(str(tmp_path / "missing.jsonl"), 1, 12)

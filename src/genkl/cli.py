@@ -421,7 +421,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         sys.stderr.write(f"capacity exceeded: {exc}\n")
         return 3
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

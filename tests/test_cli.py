@@ -129,12 +129,15 @@ class TestSubcommands:
     def test_petersson_verify_bad_cache_is_one(self, capsys, tmp_path):
         path = tmp_path / "eigen.jsonl"
         path.write_text('{"level": 1, "weight": 12, "n": 1, "lambda_re": NaN, "lambda_im": 0}\n')
-        code = main(["petersson-verify", "--kappa", "12", "--mmax", "2",
-                     "--cmax", "400", "--eigen-cache", str(path)])
-        assert code == 1
+        argv = ["petersson-verify", "--kappa", "12", "--mmax", "2", "--cmax", "400", "--eigen-cache"]
+        assert main(argv + [str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: malformed cache record on line 1 ")
+        # a directory is no cache either
+        assert main(argv + [str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     def test_online_flag_is_gone(self):
         with pytest.raises(SystemExit) as exc:

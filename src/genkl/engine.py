@@ -119,12 +119,14 @@ def _twisted_S_vector(p: int, k: int, psi: DirichletCharacter | None) -> np.ndar
 
 @cache
 def xi_table(xi: ExtCharacter, /) -> np.ndarray:
-    """2D table of xi over pairs (a, b) mod p^M, zero off units."""
+    """2D table of xi over pairs (a, b) mod p^M, zero off units: the phases
+    of every unit are one integer matrix-vector product mod L."""
     G = xi.group
-    table = np.zeros((G.pk, G.pk), dtype=np.complex128)
-    for u in xi.ext.units(G.M):
-        table[u] = xi(u)
-    return table
+    flat, wdlog, _ = G.units_view
+    table = np.zeros(G.pk * G.pk, dtype=np.complex128)
+    phases = wdlog @ np.array(xi.exps, dtype=np.int64) % G.L
+    table[flat] = np.exp(2j * np.pi * (phases / G.L))
+    return table.reshape(G.pk, G.pk)
 
 
 def I_xi_vector(xi: ExtCharacter, k: int, restrict_U1: bool = False) -> np.ndarray:
@@ -937,16 +939,24 @@ def bound_report(tf: LocalTestFunction, m: int, n: int, k: int) -> list[BoundIte
         )
         weil = float(tf.delta_p()) * (2 * p ** (k / 2) * p ** (vm / 2))
         items.append(BoundItem("weil", weil, mag, mag <= weil * (1 + 1e-9)))
-    base = tf.base if isinstance(tf, SupercuspidalNbhd) else tf
-    if isinstance(base, Supercuspidal):
-        scalefac = tf.index() if isinstance(tf, SupercuspidalNbhd) else 1
-        c_sigma = base.c_sigma
-        if k >= max(-(-c_sigma // 2), 2) and not (p == 2 and c_sigma < 5):
-            sb = scalefac * _statphase_bound(base, m * n, k)
-            items.append(BoundItem("stationary-phase", sb, mag, mag <= sb * (1 + 1e-9)))
-        if base.ext.e == 1 and base.c_xi <= 1 and k == 1:
-            katz = scalefac * 2 * math.sqrt(p) * float(base.delta_p())
-            items.append(BoundItem("katz", katz, mag, mag <= katz * (1 + 1e-9)))
+    if isinstance(tf, Supercuspidal):
+        items += _sc_bounds(tf, 1, m * n, k, mag)
+    elif isinstance(tf, SupercuspidalNbhd):
+        items += _sc_bounds(tf.base, tf.index(), m * n, k, mag)
+    return items
+
+
+def _sc_bounds(tf: Supercuspidal, scale: int, mn: int, k: int, mag: float) -> list[BoundItem]:
+    """The stationary-phase and Katz bounds of one supercuspidal, times
+    scale: the neighborhood family's sum is index() times its base's."""
+    p, c_sigma = tf.p, tf.c_sigma
+    items = []
+    if k >= max(-(-c_sigma // 2), 2) and not (p == 2 and c_sigma < 5):
+        sb = scale * _statphase_bound(tf, mn, k)
+        items.append(BoundItem("stationary-phase", sb, mag, mag <= sb * (1 + 1e-9)))
+    if tf.ext.e == 1 and tf.c_xi <= 1 and k == 1:
+        katz = scale * 2 * math.sqrt(p) * float(tf.delta_p())
+        items.append(BoundItem("katz", katz, mag, mag <= katz * (1 + 1e-9)))
     return items
 
 

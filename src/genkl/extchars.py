@@ -10,17 +10,27 @@ joins the uniformizer phase.  Conductors, restrictions to Q_p^x, Galois
 twists, neighborhoods xi[n] and the Postnikov linearization all operate
 on this data.
 
+unit_phase and __call__ evaluate one unit through UnitGroup.dlog; they
+are the per-point oracles.  Scans over characters read the group's one
+array view, UnitGroup.units_view: the phases of a block of exponent
+vectors at every unit are one integer matrix product mod L, from which
+the restriction test and the conductor of each candidate follow at once
+(enumerate_xi, neighborhoods, ExtCharacter.conductor).
+
 Derived invariants are memoized with functools.cache on positional-only
 arguments, so each value has one cache key.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
+
+from .kernels import _BLOCK
 from .padic import DirichletCharacter, e, phase_exponent, unit_group_zpk, valuation
 from .quadext import EXCEEDS_PRECISION, QuadExtension, UnitGroup, eta_char, unit_group
 
@@ -88,15 +98,7 @@ class ExtCharacter:
     def conductor(self) -> int:
         """Smallest c >= 0 with xi trivial on U_E(c)."""
         if self._conductor is None:
-            import numpy as np
-
-            _, dlog, depth, L, weights = self.group.np_tables
-            if len(self.exps) == 0:
-                self._conductor = 0
-            else:
-                w = np.array(self.exps, dtype=np.int64) * weights
-                nz = (dlog @ w) % L != 0
-                self._conductor = int(depth[nz].max()) + 1 if nz.any() else 0
+            self._conductor = int(_conductors(self.group, _column(self.exps))[0])
         return self._conductor
 
     def mul(self, other: "ExtCharacter") -> "ExtCharacter":
@@ -222,33 +224,59 @@ def _quadratic_chars(p: int, j: int):
     return [c for c in enumerate_dirichlet(p, j) if c.order() in (1, 2)]
 
 
-def _restriction_test(G: UnitGroup, restr: BaseRestriction):
-    """The test xi|_{Z_p^x} = restr.chi on the unit weights of a character
-    xi on G, its invariants built once: for each generator g of Z_p^x mod
-    p^M, the dlog of g in G and chi(g) as a phase mod chi.L * G.L.  None
-    when restr.chi has a deeper conductor than M: xi is trivial on U_F(M)
-    by construction, so it cannot restrict to it."""
-    p, M = G.ext.p, G.M
-    prim = restr.chi.restrict_to_conductor()
-    if prim.modulus_exponent > M:
+def _column(exps) -> np.ndarray:
+    return np.array(exps, dtype=np.int64).reshape(-1, 1)
+
+
+def _conductors(G: UnitGroup, X: np.ndarray) -> np.ndarray:
+    """c(xi) for each column of exponent vectors X: one more than the
+    deepest unit where xi's phase is nonzero, 0 where there is none."""
+    _, wdlog, depth = G.units_view
+    nonzero = wdlog @ X % G.L != 0
+    return (nonzero * (depth[:, None] + 1)).max(0, initial=0)
+
+
+def _restriction_test(G: UnitGroup, chi: DirichletCharacter):
+    """The test xi|_{Z_p^x} = chi on the columns of exponent vectors X of
+    characters xi of G, its arrays built once: for each generator g of
+    Z_p^x mod p^M, the row of the pair (g, 0) in G.units_view and chi(g) as
+    a phase mod chi.L * G.L.  None when chi has a deeper conductor than M:
+    xi is trivial on U_F(M) by construction, so it cannot restrict to it."""
+    prim = chi.restrict_to_conductor()
+    if prim.modulus_exponent > G.M:
         return None
-    chi = prim.extend(M)
-    gens, _, _ = unit_group_zpk(p, M)
-    L, chi_L = G.L, chi.L
-    checks = [(G.dlog(G.embed_base_unit(g)), chi.phase(g) * L) for g in gens]
-
-    def matches(weights) -> bool:
-        return all(
-            sum(w * d for w, d in zip(weights, dlog)) % L * chi_L == target
-            for dlog, target in checks
-        )
-
-    return matches
+    chi = prim.extend(G.M)
+    gens, _, _ = unit_group_zpk(G.ext.p, G.M)
+    flat, wdlog, _ = G.units_view
+    rows = wdlog[np.searchsorted(flat, [g * G.pk for g in gens])]
+    targets = np.array([chi.phase(g) * G.L for g in gens], dtype=np.int64).reshape(-1, 1)
+    return lambda X: (rows @ X % G.L * chi.L == targets).all(0)
 
 
 def _phases_match(xi: ExtCharacter, restr: BaseRestriction) -> bool:
-    matches = _restriction_test(xi.group, restr)
-    return matches is not None and matches(xi._weights)
+    matches = _restriction_test(xi.group, restr.chi)
+    return matches is not None and bool(matches(_column(xi.exps))[0])
+
+
+def _scan(G: UnitGroup, chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
+    """The exponent vectors of G's characters that restrict to chi on
+    Z_p^x, in itertools.product order, and the conductor of each: integer
+    matrix products over blocks of candidates, each about _BLOCK phases."""
+    r = len(G.orders)
+    matches = _restriction_test(G, chi)
+    if matches is None:
+        return np.zeros((0, r), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    orders = np.array(G.orders, dtype=np.int64).reshape(r, 1)
+    strides = np.cumprod(orders[::-1])[::-1].reshape(r, 1) // orders
+    n = math.prod(G.orders)
+    step = max(1, _BLOCK // len(G.units_view[0]))
+    exps, conds = [], []
+    for lo in range(0, n, step):
+        X = np.arange(lo, min(n, lo + step)) // strides % orders
+        X = X[:, matches(X)]
+        exps.append(X.T)
+        conds.append(_conductors(G, X))
+    return np.concatenate(exps), np.concatenate(conds)
 
 
 def enumerate_xi(
@@ -261,17 +289,9 @@ def enumerate_xi(
     if c < 1:
         raise ValueError("conductor exponent must be >= 1 here")
     G = unit_group(ext, c)
-    matches = _restriction_test(G, restriction)
-    if matches is None:
-        return []
-    scale = [G.L // o for o in G.orders]
+    exps_all, conds = _scan(G, restriction.chi)
     out = []
-    for exps in itertools.product(*(range(o) for o in G.orders)):
-        if not matches([x * s for x, s in zip(exps, scale)]):
-            continue
-        probe = ExtCharacter(ext, G, exps, Fraction(0))
-        if probe.conductor() != c:
-            continue
+    for exps in map(tuple, exps_all[conds == c].tolist()):
         for unif in _unif_phases(ext, G, exps, restriction.at_p_phase):
             xi = ExtCharacter(ext, G, exps, unif)
             if regular_only and not is_regular(xi):
@@ -376,19 +396,9 @@ def is_twist_minimal(xi: ExtCharacter) -> bool:
 
 def _trivial_restriction_unit_parts(G: UnitGroup, n: int):
     """Exponent vectors of characters of G with conductor <= n that are
-    trivial on the embedded Z_p^x."""
-    p, M = G.ext.p, G.M
-    gens, _, _ = unit_group_zpk(p, M)
-    base_gens = [G.embed_base_unit(g) for g in gens]
-    out = []
-    for exps in itertools.product(*(range(o) for o in G.orders)):
-        theta = ExtCharacter(G.ext, G, exps, Fraction(0))
-        if any(theta.unit_phase(g) != 0 for g in base_gens):
-            continue
-        if theta.conductor() > n:
-            continue
-        out.append(exps)
-    return out
+    trivial on the embedded Z_p^x, in itertools.product order."""
+    exps, conds = _scan(G, DirichletCharacter.trivial(G.ext.p))
+    return list(map(tuple, exps[conds <= n].tolist()))
 
 
 def neighborhood(xi: ExtCharacter, n: int) -> list["ExtCharacter"]:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+import numpy as np
+
 from .padic import (
     CapacityError,
     GROUP_CAPACITY,
@@ -435,25 +437,37 @@ class UnitGroup:
     def embed_base_unit(self, x: int) -> tuple[int, int]:
         return self._class_rep((x % self.pk, 0))
 
-    # -- vectorized views (built lazily, shared by character scans) --------
+    # -- the array view (built once, shared by every character scan) -------
 
-    @property
-    def np_tables(self):
-        """(elements list, dlog int64 matrix, depth int64 array, lcm L,
-        weight matrix L/o_j) for numpy character arithmetic."""
-        if not hasattr(self, "_np_tables"):
-            import numpy as _np
+    @cached_property
+    def units_view(self):
+        """Every unit pair (a, b) mod p^M, in the order of ext.units, as
+        three arrays: its flat index a p^M + b; the dlog row of its class
+        times the weights L/o_j, so a character's phase there is this row
+        times its exponent vector, mod L; and v_E(u - 1) capped at m, whose
+        maximum over a class is the class's depth."""
+        ext, pk, M = self.ext, self.pk, self.M
+        p, e = ext.p, ext.e
+        a, b = np.divmod(np.arange(pk * pk, dtype=np.int64), pk)
+        unit = (a % p != 0) | ((b % p != 0) & (e == 1))
+        flat, a, b = np.flatnonzero(unit), a[unit], b[unit]
+        rep = flat
+        if self._quotient_layer:
+            # _class_rep as one array op: the least (a, b)(1, s) =
+            # (a - B b s, b + (a - A b) s) over the layer subgroup
+            s = np.arange(p)[:, None] * p ** (M - 1)
+            rep = (((a - ext.B * b * s) % pk) * pk + (b + (a - ext.A * b) * s) % pk).min(0)
+        reps = sorted(self.dlog_map)
+        dlog = np.array([self.dlog_map[u] for u in reps], dtype=np.int64)
+        dlog = dlog.reshape(len(reps), len(self.orders))
+        weights = np.array([self.L // o for o in self.orders], dtype=np.int64)
+        rows = np.searchsorted([x * pk + y for x, y in reps], rep)
 
-            els = sorted(self.dlog_map)
-            r = len(self.orders)
-            dlog = _np.zeros((len(els), r), dtype=_np.int64)
-            depth = _np.zeros(len(els), dtype=_np.int64)
-            for i, u in enumerate(els):
-                dlog[i] = self.dlog_map[u]
-                depth[i] = self.depth(u)
-            weights = _np.array([self.L // o for o in self.orders], dtype=_np.int64)
-            self._np_tables = (els, dlog, depth, self.L, weights)
-        return self._np_tables
+        def val(x):  # v_p of residues mod p^M, M at 0
+            return sum((x % p**j == 0).astype(np.int64) for j in range(1, M + 1))
+
+        depth = np.minimum(np.minimum(e * val((a - 1) % pk), e * val(b) + e - 1), self.m)
+        return flat, dlog[rows] * weights, depth
 
 
 @lru_cache(maxsize=None)

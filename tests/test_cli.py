@@ -105,6 +105,42 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_degeneration_checks_every_unit(self, capsys, p):
+        # one check per unit t mod p^k, k in {c(sigma), c(sigma) + 1}, for
+        # every family of the suite: phi(p^k) = p^k - p^(k-1)
+        from genkl.cli import _sc_families
+
+        want = sum(
+            p**k - p ** (k - 1)
+            for tf in _sc_families(p)
+            for k in (tf.c_sigma, tf.c_sigma + 1)
+        )
+        code, out = run(capsys, "identities", "--suite", "degeneration", "--p", str(p))
+        assert code == 0
+        assert json.loads(out)["checks"] == want > 0
+
+    def test_degeneration_sees_one_bad_unit(self, capsys, monkeypatch):
+        from genkl import engine
+        from genkl.families import Supercuspidal
+
+        real = engine.h_local_vector
+
+        def off_at_one_unit(tf, k):
+            vec = real(tf, k)
+            if isinstance(tf, Supercuspidal):
+                vec = vec.copy()
+                vec[1] += 1e-6
+            return vec
+
+        monkeypatch.setattr(engine, "h_local_vector", off_at_one_unit)
+        code, out = run(capsys, "identities", "--suite", "degeneration", "--p", "3")
+        rec = json.loads(out)
+        assert code == 2 and rec["status"] == "FAIL"
+        assert rec["failures"]
+        for line in rec["failures"]:
+            assert line.startswith("degeneration ") and " err=1.00e-06" in line
+
     def test_petersson_verify(self, capsys):
         code, out = run(
             capsys, "petersson-verify", "--kappa", "12", "--mmax", "3",

@@ -1,6 +1,8 @@
+import functools
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from genkl.padic import DirichletCharacter, e, enumerate_dirichlet, unit_group_zpk
@@ -21,6 +23,8 @@ from genkl.extchars import (
     seed_conductors,
     sigma_conductor,
 )
+from genkl.extchars import _conductors, _scan, _unif_phases
+from genkl.engine import xi_table
 
 
 def all_group_chars(ext, m):
@@ -333,3 +337,136 @@ class TestValueIdentity:
         reps = neighborhood_classes(xi, 2, 0)
         assert isinstance(reps, tuple)
         assert neighborhood_classes(copy, 2, 0) is reps
+
+
+# Every standard extension at p = 2, 3, 5 with every m up to its largest
+# seed conductor; the ramified ones at odd m are quotient-layer groups.
+GROUPS = [
+    (p, which, m)
+    for p in (2, 3, 5)
+    for which, ext in enumerate(standard_extensions(p))
+    for m in range(1, max(seed_conductors(ext)) + 1)
+]
+
+
+@functools.cache
+def _class_table(G):
+    """dlog rows and depths of one representative per class, the layout
+    the per-character conductor read."""
+    els = sorted(G.dlog_map)
+    dlog = np.array([G.dlog_map[u] for u in els], dtype=np.int64)
+    return dlog.reshape(len(els), len(G.orders)), np.array([G.depth(u) for u in els])
+
+
+def old_conductor(xi):
+    """The per-character conductor: one more than the deepest class where
+    xi's phase is nonzero."""
+    dlog, depth = _class_table(xi.group)
+    nonzero = dlog @ np.array(xi._weights, dtype=np.int64).reshape(-1) % xi.group.L != 0
+    return int(depth[nonzero].max()) + 1 if nonzero.any() else 0
+
+
+def old_scan(G, chi):
+    """The per-candidate loop: (exps, conductor) for the characters of G
+    in itertools.product order whose restriction to Z_p^x is chi."""
+    prim = chi.restrict_to_conductor()
+    if prim.modulus_exponent > G.M:
+        return []
+    chi = prim.extend(G.M)
+    gens, _, _ = unit_group_zpk(G.ext.p, G.M)
+    out = []
+    for exps in itertools.product(*(range(o) for o in G.orders)):
+        probe = ExtCharacter(G.ext, G, exps, Fraction(0))
+        if all(
+            Fraction(probe.unit_phase(G.embed_base_unit(g)), G.L) == Fraction(chi.phase(g), chi.L)
+            for g in gens
+        ):
+            out.append((exps, old_conductor(probe)))
+    return out
+
+
+def old_enumerate_xi(ext, c, restr, regular_only=False):
+    G = unit_group(ext, c)
+    out = []
+    for exps, cond in old_scan(G, restr.chi):
+        if cond != c:
+            continue
+        for unif in _unif_phases(ext, G, exps, restr.at_p_phase):
+            xi = ExtCharacter(ext, G, exps, unif)
+            if not regular_only or is_regular(xi):
+                out.append(xi)
+    return out
+
+
+def old_neighborhood(xi, n):
+    G = xi.group
+    return [
+        xi.mul(ExtCharacter(xi.ext, G, exps, unif))
+        for exps, cond in old_scan(G, DirichletCharacter.trivial(G.ext.p))
+        if cond <= n
+        for unif in _unif_phases(xi.ext, G, exps, Fraction(0))
+    ]
+
+
+def _triv(p):
+    return BaseRestriction(DirichletCharacter.trivial(p), Fraction(0))
+
+
+class TestBatchedScans:
+    """The matrix-product scans against the per-character loops they
+    replaced, on every group the seed conductors reach."""
+
+    @pytest.mark.parametrize("p,which,m", GROUPS)
+    def test_conductors(self, p, which, m):
+        ext = standard_extensions(p)[which]
+        G = unit_group(ext, m)
+        chars = list(all_group_chars(ext, m))
+        want = [old_conductor(xi) for xi in chars]
+        assert [xi.conductor() for xi in chars] == want
+        X = np.array([xi.exps for xi in chars], dtype=np.int64).reshape(len(chars), -1).T
+        assert _conductors(G, X).tolist() == want
+        exps, conds = _scan(G, DirichletCharacter.trivial(p))
+        assert list(zip(map(tuple, exps.tolist()), conds.tolist())) == old_scan(
+            G, DirichletCharacter.trivial(p)
+        )
+
+    @pytest.mark.parametrize("p,which,m", GROUPS)
+    def test_enumerate_xi(self, p, which, m):
+        ext = standard_extensions(p)[which]
+        restrs = [_triv(p)] + ([eta_restriction(ext)] if m in seed_conductors(ext) else [])
+        for restr in restrs:
+            for regular_only in (False, True):
+                got = enumerate_xi(ext, m, restr, regular_only)
+                want = old_enumerate_xi(ext, m, restr, regular_only)
+                assert got == want
+                assert [xi.unif_phase for xi in got] == [xi.unif_phase for xi in want]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_neighborhood(self, p):
+        for ext in standard_extensions(p):
+            c = seed_conductors(ext)[-1]
+            xi = enumerate_xi(ext, c, eta_restriction(ext), regular_only=True)[0]
+            for n in range(0, max(xi.conductor(), xi.group.m) + 1):
+                got, want = neighborhood(xi, n), old_neighborhood(xi, n)
+                assert got == want
+                assert [x.unif_phase for x in got] == [x.unif_phase for x in want]
+
+    @pytest.mark.parametrize("p,which,m", GROUPS)
+    def test_xi_table(self, p, which, m):
+        # the trivial character, all ones, the last one and one per generator
+        # against xi evaluated unit by unit
+        ext = standard_extensions(p)[which]
+        G = unit_group(ext, m)
+        r = len(G.orders)
+        exps = [(0,) * r, (1,) * r, tuple(o - 1 for o in G.orders)]
+        exps += [tuple(int(i == j) for i in range(r)) for j in range(r)]
+        for x in exps:
+            xi = ExtCharacter(ext, G, x, Fraction(0))
+            want = np.zeros((G.pk, G.pk), dtype=np.complex128)
+            for u in ext.units(G.M):
+                want[u] = xi(u)
+            assert np.array_equal(xi_table(xi), want)
+
+    def test_groups_include_quotient_layers(self):
+        quotient = [g for g in GROUPS if unit_group(standard_extensions(g[0])[g[1]], g[2])._quotient_layer]
+        assert len(quotient) >= 2

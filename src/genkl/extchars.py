@@ -11,11 +11,10 @@ twists, neighborhoods xi[n] and the Postnikov linearization all operate
 on this data.
 
 unit_phase and __call__ evaluate one unit through UnitGroup.dlog; they
-are the per-point oracles.  Scans over characters read the group's one
-array view, UnitGroup.units_view: the phases of a block of exponent
-vectors at every unit are one integer matrix product mod L, from which
-the restriction test and the conductor of each candidate follow at once
-(enumerate_xi, neighborhoods, ExtCharacter.conductor).
+are the per-point oracles.  Scans over characters (enumerate_xi,
+neighborhoods, ExtCharacter.conductor) read the group's one array view,
+UnitGroup.units_view: the restriction test and the conductor of a block
+of exponent vectors are integer matrix products mod L over its rows.
 
 Derived invariants are memoized with functools.cache on positional-only
 arguments, so each value has one cache key.

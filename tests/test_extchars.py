@@ -362,7 +362,7 @@ def old_conductor(xi):
     """The per-character conductor: one more than the deepest class where
     xi's phase is nonzero."""
     dlog, depth = _class_table(xi.group)
-    nonzero = dlog @ np.array(xi._weights, dtype=np.int64).reshape(-1) % xi.group.L != 0
+    nonzero = dlog @ np.array(xi._weights, dtype=np.int64) % xi.group.L != 0
     return int(depth[nonzero].max()) + 1 if nonzero.any() else 0
 
 
@@ -468,5 +468,9 @@ class TestBatchedScans:
             assert np.array_equal(xi_table(xi), want)
 
     def test_groups_include_quotient_layers(self):
-        quotient = [g for g in GROUPS if unit_group(standard_extensions(g[0])[g[1]], g[2])._quotient_layer]
+        quotient = [
+            (p, which, m)
+            for p, which, m in GROUPS
+            if unit_group(standard_extensions(p)[which], m)._quotient_layer
+        ]
         assert len(quotient) >= 2

@@ -199,7 +199,8 @@ class BaseRestriction:
     at_p_phase: Fraction
 
 
-def eta_restriction(ext: QuadExtension) -> BaseRestriction:
+@cache
+def eta_restriction(ext: QuadExtension, /) -> BaseRestriction:
     """The restriction datum for eta_{E/F}."""
     p = ext.p
     j = 0 if ext.e == 1 else (1 if p != 2 else 3)

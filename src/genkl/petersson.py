@@ -7,10 +7,10 @@ for every weight at once, one Kahan-compensated sum per (weight, pair) in
 ascending c.  The integer-order Bessel functions come from one numpy
 routine (power series at small x, Hankel's expansion and the forward
 recurrence at x above every order, Miller's backward recurrence in
-between; DLMF 10.17(i), 10.74(iv)), so this module does not import
-scipy.  Eigenvalue data comes from the eta-product / Eisenstein-series
-expansions (level 1), or from an append-only JSONL cache that is
-validated on ingest.  Only
+between; DLMF 10.17(i), 10.74(iv)); archimedean.bessel_J reads its
+integer orders from the same table.  Eigenvalue data comes from the
+eta-product / Eisenstein-series expansions (level 1), or from an
+append-only JSONL cache that is validated on ingest.  Only
 eigenvalue ratios are ever asserted: the ratio P(m,n)/P(1,1) removes the
 harmonic weight and the Petersson norm at one stroke in the
 one-dimensional weights.

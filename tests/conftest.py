@@ -23,15 +23,3 @@ def xi_unram3_c1(unram3):
 def xi_ram3_c2(ram3):
     return enumerate_xi(ram3, 2, eta_restriction(ram3), regular_only=True)[0]
 
-
-def dedup_unit_parts(xs):
-    """One character per distinct unit part (the sums do not see the
-    uniformizer value)."""
-    seen = set()
-    out = []
-    for xi in xs:
-        if xi.exps in seen:
-            continue
-        seen.add(xi.exps)
-        out.append(xi)
-    return out

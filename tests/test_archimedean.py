@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from genkl.archimedean import (
     HoloWeight,
@@ -11,12 +12,24 @@ from genkl.archimedean import (
     H_infty,
     H_infty_minus,
     bessel_J,
-    bessel_J_integer_quadrature,
+    _log_gamma,
     bessel_K_imag,
     f_infty_one,
 )
 
 mp.mp.dps = 25
+
+
+def bessel_J_integer_quadrature(n: int, x: float) -> float:
+    """(1/pi) int_0^pi cos(n theta - x sin theta) d theta (test oracle)."""
+    val, _ = quad(
+        lambda th: math.cos(n * th - x * math.sin(th)),
+        0,
+        math.pi,
+        limit=400,
+        epsabs=1e-12,
+    )
+    return val / math.pi
 
 
 class TestBesselJ:
@@ -27,7 +40,7 @@ class TestBesselJ:
     def test_series_vs_quadrature_oracles(self):
         # cross-validate on integer orders; the high-precision series is
         # the mpmath reference, the quadrature is the cos-integral
-        for n in (0, 1, 3, 8, 17, 30):
+        for n in (0, 1, 3, 8, 17, 30, -3, -4):
             for x in (0.3, 1.0, 7.5, 40.0, 100.0):
                 mine = bessel_J(n, x).real
                 series_ref = float(mp.besselj(n, x))
@@ -45,6 +58,20 @@ class TestBesselJ:
                 tol = 1e-9 if x <= 10 else 1e-6
                 assert abs(mine - ref) < tol * max(1.0, abs(ref))
 
+    def test_half_integer_orders_vs_mpmath(self):
+        for order in (0.5, 2.5):
+            for x in (0.6, 3.0, 7.5, 14.0, 20.0):
+                mine = bessel_J(order, x)
+                ref = float(mp.besselj(order, x))
+                tol = 1e-9 if x <= 10 else 1e-6
+                assert abs(mine - ref) < tol * max(1.0, abs(ref))
+
+    def test_log_gamma_vs_mpmath(self):
+        ts = np.linspace(0.0, 120.0, 481)
+        got = _log_gamma(1 + 2j * ts)
+        for t, value in zip(ts, got):
+            assert abs(value - complex(mp.loggamma(1 + 2j * mp.mpf(t)))) < 1e-12
+
     def test_range_errors(self):
         with pytest.raises(ValueError):
             bessel_J(300, 1.0)
@@ -52,6 +79,10 @@ class TestBesselJ:
             bessel_J(1, 0.0)
         with pytest.raises(ValueError):
             bessel_J(2j, 100.0)
+        with pytest.raises(ValueError):
+            bessel_J(0.5, 25.0)
+        with pytest.raises(ValueError):
+            bessel_J(-150.5, 0.1)  # about 1e450
 
 
 class TestWeights:
@@ -108,8 +139,6 @@ class TestTransforms:
 
     def test_H_minus_real_and_vs_K_quadrature(self):
         seg = InitialSegment(1.5)
-        from scipy.integrate import quad
-
         for x in (1.0, 2.0, 5.0):
             got = H_infty_minus(seg, x)
             assert isinstance(got, float)

@@ -1,6 +1,6 @@
 """Source hygiene: no class or function is silently shadowed, every
-genkl name the benchmark uses still exists, and scipy stays out of every
-module but the archimedean one.
+genkl name the benchmark uses still exists, and genkl imports and runs
+without scipy.
 
 A second `class TestX` or `def f` in the same scope replaces the first, so
 the first one's tests never run and its code is dead.  Property setters and
@@ -13,6 +13,7 @@ fails here instead of in a benchmark run.
 
 import ast
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -134,22 +135,47 @@ def _imported_modules(source: str) -> set[str]:
     return out
 
 
-def test_only_archimedean_imports_scipy():
+def test_no_module_imports_scipy():
     users = sorted(
         path.name
         for path in (ROOT / "src" / "genkl").glob("*.py")
         if any(name.split(".")[0] == "scipy" for name in _imported_modules(path.read_text()))
     )
-    assert users == ["archimedean.py"]
+    assert users == []
+
+
+def _run_python(code: str) -> str:
+    """Stdout of code run in a fresh interpreter that imports this genkl."""
+    src = str(Path(genkl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
 
 
 def test_cli_and_petersson_load_no_scipy():
-    src = str(Path(genkl.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "import sys, genkl, genkl.cli, genkl.petersson; "
+        "import sys, genkl, genkl.cli, genkl.petersson, genkl.archimedean; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _run_python(code) == "[]"
+
+
+def test_genkl_runs_with_scipy_blocked():
+    # a None entry in sys.modules makes every import of that name fail
+    code = """
+import sys
+for name in ("scipy", "scipy.special", "scipy.integrate"):
+    sys.modules[name] = None
+import importlib, pkgutil, genkl
+for mod in pkgutil.iter_modules(genkl.__path__):
+    importlib.import_module("genkl." + mod.name)
+from genkl.archimedean import (
+    H_infty, H_infty_minus, InitialSegment, Window, bessel_J, f_infty_one,
+)
+print(bessel_J(3, 40.0).real, bessel_J(-3, 2.0).real, bessel_J(1j, 2.0).imag)
+print(f_infty_one(Window(50, 2)), H_infty(InitialSegment(2), 3.0),
+      H_infty_minus(InitialSegment(2), 3.0))
+"""
+    values = [float(v) for v in _run_python(code).split()]
+    assert len(values) == 6 and all(map(math.isfinite, values))

@@ -92,30 +92,48 @@ def _parse_range(spec: str) -> list[int]:
     return [int(x) for x in spec.split(",")]
 
 
-def _emit(rows, header, args):
-    out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
-    try:
-        if args.format == "json":
-            for row in rows:
-                out.write(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
-        else:
-            out.write(",".join(header) + "\n")
-            for row in rows:
-                out.write(",".join(map(str, row)) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+def _emit(text: str, args):
+    """Write a command's whole output in one call, to stdout or --out."""
+    if args.out in (None, "-"):
+        sys.stdout.write(text)
+        return
+    with open(args.out, "w") as out:
+        out.write(text)
 
 
-def _klsum_rows(tf, ms, ns, k):
-    """One table row per (m, n) at p^k, from one h_local_many call."""
+def _table(rows, header, fmt: str) -> str:
+    """CSV under a header line, or one JSON object per row, keys sorted."""
+    if fmt == "json":
+        return "".join(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n" for row in rows)
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+
+
+def _klsum_block(tf, k: int, ms, ns, fmt: str) -> str:
+    """The table rows of one k, from one h_local_many call, as one string.
+
+    The per-row columns are interleaved into one tuple and formatted by a
+    single % over the row template repeated once per row; %.12g prints a
+    float as _fmt does.  The JSON template lists its keys in sorted order,
+    as json.dumps(..., sort_keys=True) does, with re and im as strings.
+    """
     vals, reasons = engine.h_local_many(tf, ms, ns, k)
-    return [
-        (tf.tag, tf.p, k, m, n, _fmt(re), _fmt(im), reason or "nonzero")
-        for m, n, re, im, reason in zip(
-            ms, ns, vals.real.tolist(), vals.imag.tolist(), reasons
+    m = ms.tolist() if isinstance(ms, np.ndarray) else list(ms)
+    n = ns.tolist() if isinstance(ns, np.ndarray) else list(ns)
+    re, im = vals.real.tolist(), vals.imag.tolist()
+    reason = [r or "nonzero" for r in reasons]
+    if fmt == "json":
+        template = (
+            f'{{"family": "{tf.tag}", "im": "%.12g", "k": {k}, "m": %d, "n": %d, '
+            f'"p": {tf.p}, "re": "%.12g", "vanishing_reason": "%s"}}\n'
         )
-    ]
+        columns = (im, m, n, re, reason)
+    else:
+        template = f"{tf.tag},{tf.p},{k},%d,%d,%.12g,%.12g,%s\n"
+        columns = (m, n, re, im, reason)
+    flat = [None] * (len(columns) * len(vals))
+    for i, column in enumerate(columns):
+        flat[i::len(columns)] = column
+    return (template * len(vals)) % tuple(flat)
 
 
 def cmd_klsum(args):
@@ -124,18 +142,19 @@ def cmd_klsum(args):
     ks = _parse_range(args.k)
     for k in ks:
         check_capacity(p, k)
-    rows = []
+    if args.grid == "mn":
+        grid = list(itertools.product(_parse_range(args.m), _parse_range(args.n)))
+        ms = [m for m, _ in grid]
+        ns = [n for _, n in grid]
+    blocks = [] if args.format == "json" else ["family,p,k,m,n,re,im,vanishing_reason\n"]
     for k in ks:
         if args.grid == "units":
+            t = np.arange(1, p**k)
             # at k = 0 the one class mod 1 is 0
-            ms = [t for t in range(1, p**k) if t % p] or [0]
-            ns = [1] * len(ms)
-        else:
-            grid = list(itertools.product(_parse_range(args.m), _parse_range(args.n)))
-            ms = [m for m, _ in grid]
-            ns = [n for _, n in grid]
-        rows += _klsum_rows(tf, ms, ns, k)
-    _emit(rows, ("family", "p", "k", "m", "n", "re", "im", "vanishing_reason"), args)
+            ms = t[t % p != 0] if k else np.zeros(1, dtype=np.int64)
+            ns = np.ones(len(ms), dtype=np.int64)
+        blocks.append(_klsum_block(tf, k, ms, ns, args.format))
+    _emit("".join(blocks), args)
     return 0
 
 
@@ -152,8 +171,8 @@ def cmd_mellin(args):
                  _fmt(d.real), _fmt(d.imag), _fmt(c.real), _fmt(c.imag),
                  _fmt(abs(d - c)))
             )
-    _emit(rows, ("family", "p", "k", "alpha", "direct_re", "direct_im",
-                 "closed_re", "closed_im", "abs_err"), args)
+    _emit(_table(rows, ("family", "p", "k", "alpha", "direct_re", "direct_im",
+                        "closed_re", "closed_im", "abs_err"), args.format), args)
     return 0
 
 
@@ -162,7 +181,7 @@ def cmd_conductor(args):
     closed = tf.k_p()
     scanned = geometric_conductor_scan(tf, closed + args.slack)
     row = (tf.tag, args.p, closed, scanned, closed == scanned)
-    _emit([row], ("family", "p", "k_p_closed", "k_p_scan", "match"), args)
+    _emit(_table([row], ("family", "p", "k_p_closed", "k_p_scan", "match"), args.format), args)
     return 0 if closed == scanned else 2
 
 
@@ -177,8 +196,8 @@ def cmd_bounds(args):
                         (tf.tag, args.p, k, m, n, item.name, _fmt(item.bound),
                          _fmt(item.magnitude), item.satisfied)
                     )
-    _emit(rows, ("family", "p", "k", "m", "n", "bound", "value", "magnitude",
-                 "satisfied"), args)
+    _emit(_table(rows, ("family", "p", "k", "m", "n", "bound", "value", "magnitude",
+                        "satisfied"), args.format), args)
     return 0 if all(r[-1] for r in rows) else 2
 
 
@@ -215,8 +234,8 @@ def cmd_char_enum(args):
             (args.p, ext.label(), args.cxi, i, is_regular(xi),
              is_twist_minimal(xi), str(xi.unif_phase))
         )
-    _emit(rows, ("p", "ext", "c_xi", "index", "regular", "twist_minimal",
-                 "unif_phase"), args)
+    _emit(_table(rows, ("p", "ext", "c_xi", "index", "regular", "twist_minimal",
+                        "unif_phase"), args.format), args)
     return 0
 
 

@@ -85,7 +85,16 @@ def classical_S_many(ms, ns, c: int) -> np.ndarray:
     E F^T kernel.  S(t,1;p^k) at every t is one FFT: _classical_S_vector."""
     if c < 1:
         raise ValueError("c must be >= 1")
-    return kernels.kloosterman_many(ms, ns, c, *_unit_inverses(c))
+    return kernels.kloosterman_many(_residues(ms, c), _residues(ns, c), c, *_unit_inverses(c))
+
+
+def _residues(xs, c: int) -> np.ndarray:
+    """xs mod c as an int64 array.  Python ints beyond int64 are reduced
+    as Python ints before the array is built."""
+    try:
+        return np.asarray(xs, dtype=np.int64) % c
+    except OverflowError:
+        return np.array([x % c for x in xs], dtype=np.int64)
 
 
 # holds the 333 prime powers of an H table at c <= 2000 (about 5 MB), so a
@@ -321,11 +330,13 @@ def h_local(tf: LocalTestFunction, m: int, n: int, k: int) -> KloostermanValue:
 
 
 def h_local_many(tf: LocalTestFunction, ms, ns, k: int) -> tuple[np.ndarray, list]:
-    """H_p(m_i, n_i; p^k) for parallel sequences of m and n, with one
-    vanishing reason (or None) per entry.  Zero below k_p; at a unit mn the
-    entry mn of h_local_vector (H(m,n) = H(mn,1) for a unit n); at p | mn
-    the classical sum, Nelson's Moebius sum, or zero for the newform
-    projectors."""
+    """H_p(m_i, n_i; p^k) for parallel sequences (or int arrays) of m and n,
+    with one vanishing reason (or None) per entry.  Zero below k_p.  m and
+    n are reduced mod p^max(k, 1), which keeps whether p | mn, and mn is
+    split into units and non-units by array operations.  A unit mn reads
+    entry mn of h_local_vector (H(m,n) = H(mn,1) for a unit n); only the
+    entries with p | mn go through Python: the classical sum, Nelson's
+    Moebius sum, or zero for the newform projectors."""
     check_capacity(tf.p, k)
     if len(ms) != len(ns):
         raise ValueError("ms and ns must have the same length")
@@ -334,21 +345,20 @@ def h_local_many(tf: LocalTestFunction, ms, ns, k: int) -> tuple[np.ndarray, lis
         return vals, ["below-k_p"] * len(ms)
     p = tf.p
     pk = p**k
+    q = p ** max(k, 1)
+    m_red, n_red = _residues(ms, q), _residues(ns, q)
+    mn = m_red * n_red % q
+    unit = mn % p != 0
+    vals[unit] = h_local_vector(tf, k)[mn[unit] % pk]
     reasons = [None] * len(ms)
-    units, idx = [], []
-    for i, (m, n) in enumerate(zip(ms, ns)):
-        mn = m * n
-        if mn % p:
-            units.append(i)
-            idx.append(mn % pk)
-        elif isinstance(tf, Classical):
+    for i in np.flatnonzero(~unit).tolist():
+        m, n = int(m_red[i]), int(n_red[i])
+        if isinstance(tf, Classical):
             vals[i] = float(tf.delta_p()) * classical_S(m, n, pk)
         elif isinstance(tf, NelsonEq):
             vals[i] = _nelson_value(tf, m, n, k)
         else:
             reasons[i] = "non-unit-mn"
-    if units:
-        vals[units] = h_local_vector(tf, k)[idx]
     return vals, reasons
 
 
@@ -506,7 +516,7 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
     for tf in gtf.locals:
         p = tf.p
         vs = np.array([valuation(c // c_0, p) for c, c_0 in zip(cs.tolist(), c0.tolist())])
-        for v in np.unique(vs).tolist():
+        for v in kernels.distinct(vs).tolist():
             rows = np.flatnonzero(vs == v)
             # the factor depends on cbar_0 mod p^v only; mod p^(v+1) it is
             # a unit at p also when v = 0
@@ -527,11 +537,11 @@ def _prime_power_parts(cs: np.ndarray):
         while (hit := rest % q == 0).any():
             e += hit
             rest[hit] //= q
-        for k in np.unique(e[e > 0]).tolist():
+        for k in kernels.distinct(e[e > 0]).tolist():
             yield q, k, np.flatnonzero(e == k)
         q += 1
     # what is left of each c_i is 1 or a prime above sqrt(max c)
-    for q in np.unique(rest[rest > 1]).tolist():
+    for q in kernels.distinct(rest[rest > 1]).tolist():
         yield q, 1, np.flatnonzero(rest == q)
 
 

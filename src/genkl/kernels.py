@@ -20,13 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-# numpy 2 loads numpy.ma on the first np.unique call without return_*
-# flags (for its masked-array check) and numpy.fft on first use: 13.9 and
-# 1.3 ms under python -X importtime.  Loading both here keeps that out of
-# the first table of a command; without it the summed run time of the two
-# `identities --suite degeneration` commands rose 0.209 -> 0.238 s
+# numpy 2 loads numpy.fft on first use (1.3 ms under python -X importtime);
+# loading it here keeps that out of the first table of a command
 import numpy.fft  # noqa: F401
-import numpy.ma  # noqa: F401
 
 # the one implementation; exported as genkl.BACKEND, which perfbench checks
 BACKEND = "python"
@@ -45,6 +41,16 @@ def _reduce(x: np.ndarray, c: int) -> np.ndarray:
     """x mod c in place, for x >= 0."""
     x -= x // c * c
     return x
+
+
+def distinct(x) -> np.ndarray:
+    """The distinct values of x, ascending.  np.unique without return_*
+    flags imports numpy.ma (13.9 ms) for its masked-array check; a sort
+    does not."""
+    s = np.sort(np.ravel(x))
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
 
 
 def unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +94,7 @@ def kloosterman_many(ms, ns, c: int, xs, xinvs) -> np.ndarray:
     if c == 1:
         return np.ones(len(ms), dtype=np.complex128)
     dtype = _residue_dtype(c)
-    um, un = np.unique(ms).astype(dtype), np.unique(ns).astype(dtype)
+    um, un = distinct(ms).astype(dtype), distinct(ns).astype(dtype)
     xs, xinvs = np.asarray(xs, dtype=dtype), np.asarray(xinvs, dtype=dtype)
     table = np.exp(2j * np.pi * np.arange(c) / c)
     rows = max(1, _BLOCK // len(xs))
@@ -161,7 +167,7 @@ def _norm_trace_kernel(p: int, k: int, A: int, B: int, M: int):
     t0 = (ca * ca - A * ca * cb + B * cb * cb) % pm
     cls = np.flatnonzero(t0 % p)
     cls = cls[np.argsort(t0[cls], kind="stable")]
-    residues = np.unique(t0[cls])
+    residues = distinct(t0[cls])
     # a = a' + h b turns the form into a'^2 - (A - 2h) a' b + (B - A h + h^2) b^2;
     # from here on A and B are A' and B'
     h = A // 2 if A % 2 == 0 else 0

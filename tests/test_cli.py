@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from genkl.cli import main
@@ -41,15 +42,22 @@ class TestKlsum:
         assert out1 == out2
 
 
+FAMILY_FLAGS = [
+    "--family classical --p 3 --c 2",
+    "--family nelson --p 3 --c 3",
+    "--family ps --p 5 --chi-conductor 2",
+    "--family supercuspidal --p 3 --ext unramified --cxi 1",
+    "--family nbhd --p 3 --ext ramified --cxi 2 --n-radius 1",
+]
+
+
 class TestKlsumMatchesOnePoint:
-    @pytest.mark.parametrize("flags", [
-        "--family classical --p 3 --c 2",
-        "--family nelson --p 3 --c 3",
-        "--family ps --p 5 --chi-conductor 2",
-        "--family supercuspidal --p 3 --ext unramified --cxi 1",
-        "--family nbhd --p 3 --ext ramified --cxi 2 --n-radius 1",
-    ], ids=lambda flags: flags.split()[1])
-    def test_mn_grid_equals_h_local_rows(self, capsys, flags):
+    @pytest.mark.parametrize("flags, fmt", [
+        pytest.param(flags, fmt, id=flags.split()[1] + ("-json" if fmt == "json" else ""))
+        for fmt in ("csv", "json")
+        for flags in FAMILY_FLAGS
+    ])
+    def test_mn_grid_equals_h_local_rows(self, capsys, flags, fmt):
         from genkl import engine
         from genkl.cli import _Parser, _add_family_flags, build_family
 
@@ -57,17 +65,102 @@ class TestKlsumMatchesOnePoint:
         _add_family_flags(parser)
         tf = build_family(parser.parse_args(flags.split()))
         ms, ns, ks = range(-3, 11), (-2, 1, 3, 5), range(0, 5)
-        code, out = run(capsys, "klsum", *flags.split(), "--k", "0..4", "--grid", "mn",
-                        "--m=-3..10", "--n=-2,1,3,5")
+        code, out = run(capsys, "--format", fmt, "klsum", *flags.split(), "--k", "0..4",
+                        "--grid", "mn", "--m=-3..10", "--n=-2,1,3,5")
         assert code == 0
-        want = ["family,p,k,m,n,re,im,vanishing_reason"]
+        want = [] if fmt == "json" else ["family,p,k,m,n,re,im,vanishing_reason"]
         for k in ks:
             for m in ms:
                 for n in ns:
                     v = engine.h_local(tf, m, n, k)
-                    want.append(f"{tf.tag},{tf.p},{k},{m},{n},{v.value.real:.12g},"
-                                f"{v.value.imag:.12g},{v.vanishing_reason or 'nonzero'}")
+                    row = (tf.tag, tf.p, k, m, n, f"{v.value.real:.12g}",
+                           f"{v.value.imag:.12g}", v.vanishing_reason or "nonzero")
+                    if fmt == "json":
+                        want.append(json.dumps(dict(zip(KLSUM_HEADER, row)), sort_keys=True))
+                    else:
+                        want.append(",".join(map(str, row)))
         assert out.splitlines() == want
+
+
+KLSUM_HEADER = ("family", "p", "k", "m", "n", "re", "im", "vanishing_reason")
+
+
+class TestKlsumRendering:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        "klsum --family supercuspidal --p 3 --ext ramified --cxi 2 --k 0..3 --grid units",
+        "klsum --family nelson --p 3 --c 3 --k 0..3 --grid mn --m=-4..9 --n 1,3",
+        "mellin --family ps --p 5 --chi-conductor 1 --k 1..2",
+        "char-enum --p 3 --cxi 2",
+    ], ids=lambda argv: argv.split()[0] + "-" + argv.split()[2])
+    def test_out_file_equals_stdout(self, capsys, tmp_path, argv, fmt):
+        code, out = run(capsys, "--format", fmt, *argv.split())
+        path = tmp_path / "table.txt"
+        assert main(["--format", fmt, "--out", str(path), *argv.split()]) == code == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == out.encode() and out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_floats_render_as_format_spec(self, capsys, monkeypatch, fmt):
+        from genkl import engine
+
+        values = [-0.0, 1e-300, 1e300, -1e300, -1e-300, 0.1 + 0.2, 2.0**53, float("nan"),
+                  float("inf"), -float("inf"), 123456789012.5, 5e-324]
+        vals = np.empty(len(values), dtype=np.complex128)
+        vals.real, vals.imag = values, values[::-1]
+        reasons = [None, "below-k_p"] + [None] * (len(values) - 3) + ["non-unit-mn"]
+        monkeypatch.setattr(engine, "h_local_many", lambda tf, ms, ns, k: (vals, reasons))
+        code, out = run(capsys, "--format", fmt, "klsum", "--family", "classical", "--p", "3",
+                        "--c", "1", "--k", "2", "--grid", "mn", f"--m=1..{len(values)}")
+        assert code == 0
+        lines = out.splitlines()
+        if fmt == "csv":
+            assert lines.pop(0) == ",".join(KLSUM_HEADER)
+        assert len(lines) == len(values)
+        for i, (line, v, reason) in enumerate(zip(lines, vals.tolist(), reasons)):
+            row = ("classical", 3, 2, i + 1, 1, f"{v.real:.12g}", f"{v.imag:.12g}",
+                   reason or "nonzero")
+            if fmt == "json":
+                assert line == json.dumps(dict(zip(KLSUM_HEADER, row)), sort_keys=True)
+            else:
+                assert line == ",".join(map(str, row))
+
+    def test_k0_row(self, capsys):
+        from genkl import engine
+        from genkl.families import Classical
+
+        code, out = run(capsys, "klsum", "--family", "classical", "--p", "3", "--c", "0",
+                        "--k", "0", "--grid", "units")
+        v = engine.h_local(Classical(3, 0), 0, 1, 0).value
+        assert code == 0
+        assert out.splitlines()[1:] == [f"classical,3,0,0,1,{v.real:.12g},{v.imag:.12g},nonzero"]
+
+    @pytest.mark.parametrize("flags", [
+        "--family classical --p 3 --c 1 --k 2",
+        "--family nelson --p 3 --c 3 --k 3",
+        "--family supercuspidal --p 3 --ext unramified --cxi 1 --k 2",
+    ], ids=lambda flags: flags.split()[1])
+    def test_huge_m_and_n_equal_their_residues(self, capsys, flags):
+        # m and n beyond int64, with p | mn and without
+        big = 3 * 10**20
+        k = int(flags.split()[-1])
+        q = 3**k
+        ms, ns = [big, big + 1, -big - 2], [3, -big, 10**30 + 9]
+        code, out = run(capsys, "klsum", *flags.split(), "--grid", "mn",
+                        "--m", ",".join(map(str, ms)), "--n", ",".join(map(str, ns)))
+        assert code == 0
+        code, reduced = run(capsys, "klsum", *flags.split(), "--grid", "mn",
+                            "--m", ",".join(str(m % q) for m in ms),
+                            "--n", ",".join(str(n % q) for n in ns))
+        assert code == 0
+        rows, want = out.splitlines(), reduced.splitlines()
+        assert len(rows) == len(want) == 1 + len(ms) * len(ns)
+        assert rows[0] == want[0]
+        pairs = [(m, n) for m in ms for n in ns]
+        for row, ref, (m, n) in zip(rows[1:], want[1:], pairs):
+            cells, ref_cells = row.split(","), ref.split(",")
+            assert cells[3:5] == [str(m), str(n)]
+            assert cells[:3] + cells[5:] == ref_cells[:3] + ref_cells[5:]
 
 
 class TestSubcommands:

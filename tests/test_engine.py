@@ -329,6 +329,29 @@ class TestHLocalMany:
                 assert np.complex128(want.value).tobytes() == v.tobytes(), (m, n, k)
                 assert reason == want.vanishing_reason, (m, n, k)
 
+    @pytest.mark.parametrize("tf", ALL_SMALL_FAMILIES, ids=lambda t: t.tag)
+    def test_huge_and_array_inputs(self, tf):
+        # m, n beyond int64 give the entries of their residues mod p^max(k, 1);
+        # int64 arrays give the entries of the same lists
+        p, big = tf.p, 10**30
+        ms = [big * p, big * p + 1, -big - 2, 5 * p]
+        ns = [1, p, -big, big * p**2 + 3]
+        pairs = [(m, n) for m in ms for n in ns]
+        for k in range(0, tf.k_p() + 2):
+            q = p ** max(k, 1)
+            got = h_local_many(tf, [m for m, _ in pairs], [n for _, n in pairs], k)
+            red = [(m % q, n % q) for m, n in pairs]
+            want = h_local_many(tf, [m for m, _ in red], [n for _, n in red], k)
+            arrays = h_local_many(tf, np.array([m for m, _ in red]), np.array([n for _, n in red]), k)
+            for vals, reasons in (want, arrays):
+                assert vals.tobytes() == got[0].tobytes() and reasons == got[1]
+
+    def test_classical_S_many_reduces_huge_ints(self):
+        big = 10**30
+        ms, ns = [big * 9 + 2, -big], [big, 4]
+        want = classical_S_many([m % 9 for m in ms], [n % 9 for n in ns], 9)
+        assert classical_S_many(ms, ns, 9).tobytes() == want.tobytes()
+
     def test_empty_and_mismatched(self):
         tf = Classical(3, 1)
         vals, reasons = h_local_many(tf, [], [], 2)

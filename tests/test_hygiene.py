@@ -179,3 +179,52 @@ print(f_infty_one(Window(50, 2)), H_infty(InitialSegment(2), 3.0),
 """
     values = [float(v) for v in _run_python(code).split()]
     assert len(values) == 6 and all(map(math.isfinite, values))
+
+
+def flagless_unique_calls(source: str) -> list[int]:
+    """Lines of every np.unique / numpy.unique call without a return_*
+    keyword: numpy answers those through a masked-array check that imports
+    numpy.ma, about 14 ms."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "unique"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+            and not any((kw.arg or "").startswith("return_") for kw in node.keywords)
+        ):
+            out.append(node.lineno)
+    return out
+
+
+def test_detector_sees_flagless_unique():
+    src = "np.unique(a)\nnp.unique(a, return_inverse=True)\nnumpy.unique(b, axis=0)\nx.unique(c)\n"
+    assert flagless_unique_calls(src) == [1, 3]
+
+
+def test_no_flagless_unique():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted((ROOT / "src" / "genkl").glob("*.py"))
+        for line in flagless_unique_calls(path.read_text())
+    ]
+    assert not found, found
+
+
+def test_commands_load_no_numpy_ma():
+    code = """
+import contextlib, io, sys
+from genkl.cli import main
+commands = [
+    "klsum --family supercuspidal --p 3 --ext unramified --cxi 1 --k 1..3 --grid units",
+    "klsum --family nelson --p 3 --c 3 --k 0..3 --grid mn --m=-3..4 --n 1,3",
+    "identities --suite degeneration --p 3",
+    "petersson-verify --kappa 12 --mmax 3 --cmax 50",
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv.split()) for argv in commands]
+print(codes, "numpy.ma" in sys.modules)
+"""
+    assert _run_python(code) == "[0, 0, 0, 0] False"

@@ -162,12 +162,11 @@ def cmd_mellin(args):
     tf = build_family(args)
     rows = []
     for k in _parse_range(args.k):
-        direct = engine.mellin_direct_all(tf, k)
-        for alpha in enumerate_dirichlet(args.p, k):
-            d = direct[alpha.exps]
-            c = engine.mellin_closed(tf, alpha, k)
+        direct, closed = engine.mellin_direct_all(tf, k), engine.mellin_closed_all(tf, k)
+        for exps in np.ndindex(direct.shape):
+            d, c = direct[exps], closed[exps]
             rows.append(
-                (tf.tag, args.p, k, "+".join(map(str, alpha.exps)),
+                (tf.tag, args.p, k, "+".join(map(str, exps)),
                  _fmt(d.real), _fmt(d.imag), _fmt(c.real), _fmt(c.imag),
                  _fmt(abs(d - c)))
             )
@@ -345,16 +344,13 @@ def _suite_mellin(p, failures):
         for k in range(0, 6):
             if p**k > 3000:
                 break
-            direct = engine.mellin_direct_all(tf, k)
-            for alpha in enumerate_dirichlet(p, k):
-                d = direct[alpha.exps]
-                c = engine.mellin_closed(tf, alpha, k)
-                ran += 1
-                if abs(d - c) > 1e-8:
-                    failures.append(
-                        f"mellin {tf.tag} p={p} k={k} exps={alpha.exps} "
-                        f"direct={d} closed={c}"
-                    )
+            direct, closed = engine.mellin_direct_all(tf, k), engine.mellin_closed_all(tf, k)
+            ran += direct.size
+            for exps in map(tuple, np.argwhere(np.abs(direct - closed) > 1e-8).tolist()):
+                failures.append(
+                    f"mellin {tf.tag} p={p} k={k} exps={exps} "
+                    f"direct={direct[exps]} closed={closed[exps]}"
+                )
     return ran
 
 

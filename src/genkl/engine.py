@@ -10,9 +10,9 @@ enumeration, R by direct integration, Mellin by finite Fourier) provide
 the independent verification paths.  All heavy sums run through
 genkl.kernels.
 
-Each Mellin job has one route: the direct transform is one FFT of
-h_local_vector per (family, k), every Gauss sum one entry of one FFT per
-(p, k), and the one-character calls read these cached tables.
+Each Mellin job has one route: per (family, k) the direct transform is
+one FFT of h_local_vector and the closed form one array over every
+character, and the one-character calls read these cached tables.
 
 Memoized functions take positional-only arguments; a public function with
 defaults fills them in before the lookup, so each value has one cache key.
@@ -34,13 +34,14 @@ from .padic import (
     CapacityError,
     DirichletCharacter,
     check_capacity,
+    dlog_rows,
     e,
     gauss_sum_at_level,
     nu,
     unit_group_zpk,
     valuation,
 )
-from .quadext import QuadExtension, norm_fiber
+from .quadext import QuadExtension, norm_fiber, unit_group
 from .extchars import (
     ExtCharacter,
     c_psi_E,
@@ -488,8 +489,6 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
     every pair.  Zero whenever c misses the geometric conductor.
     """
     check_table_capacity(len(cs), len(ms))
-    ms = np.asarray(ms, dtype=np.int64)
-    ns = np.asarray(ns, dtype=np.int64)
     cs = np.asarray(cs, dtype=np.int64)
     if len(cs) and cs.min() < 1:
         raise ValueError("modulus must be positive")
@@ -503,23 +502,25 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
         xs, xinvs = _unit_inverses(qe)
         sbar = xinvs[np.searchsorted(xs, cs[rows] // qe % qe)]
         sbar2 = sbar * sbar % qe
-        common = (ms % q == 0) & (ns % q == 0)
+        m_q, n_q = _residues(ms, qe), _residues(ns, qe)
+        common = (m_q % q == 0) & (n_q % q == 0)
         cols = np.flatnonzero(~common)
-        mn = ms[cols] % qe * (ns[cols] % qe) % qe
+        mn = m_q[cols] * n_q[cols] % qe
         table[np.ix_(rows, cols)] *= _classical_S_vector(q, e)[np.multiply.outer(sbar2, mn) % qe]
         cols = np.flatnonzero(common)
         if len(cols):
-            n2 = np.multiply.outer(sbar2, ns[cols] % qe) % qe
-            m2 = np.broadcast_to(ms[cols], n2.shape)
+            n2 = np.multiply.outer(sbar2, n_q[cols]) % qe
+            m2 = np.broadcast_to(m_q[cols], n2.shape)
             table[np.ix_(rows, cols)] *= classical_S_many(m2.ravel(), n2.ravel(), qe).reshape(n2.shape)
-    m_list, n_list = ms.tolist(), ns.tolist()
     for tf in gtf.locals:
         p = tf.p
         vs = np.array([valuation(c // c_0, p) for c, c_0 in zip(cs.tolist(), c0.tolist())])
         for v in kernels.distinct(vs).tolist():
             rows = np.flatnonzero(vs == v)
-            # the factor depends on cbar_0 mod p^v only; mod p^(v+1) it is
-            # a unit at p also when v = 0
+            # the factor depends on m, n mod p^max(v, 1) and on cbar_0 mod
+            # p^v only; mod p^(v+1) cbar_0 is a unit at p also when v = 0
+            q = p ** max(v, 1)
+            m_list, n_list = _residues(ms, q).tolist(), _residues(ns, q).tolist()
             cbars = [pow(c_0, -1, p ** (v + 1)) for c_0 in c0[rows].tolist()]
             mc = [m * cb for cb in cbars for m in m_list]
             nc = [n * cb for cb in cbars for n in n_list]
@@ -573,11 +574,21 @@ def character_fft(p: int, k: int, vec: np.ndarray) -> np.ndarray:
     """hat[exps] = sum over units y of vec[y] conj(chi_exps(y)), one fftn
     over the shape of (Z/p^k)^*: exps is an exponent vector against its
     standard generators."""
-    _, orders, dlog = unit_group_zpk(p, k)
-    arr = np.zeros(orders, dtype=np.complex128)
-    for y, dv in dlog.items():
-        arr[dv] = vec[y]
-    return np.fft.fftn(arr)
+    return np.fft.fftn(vec[dlog_rows(p, k)[0]].reshape(unit_group_zpk(p, k)[1]))
+
+
+def _conj_index(table: np.ndarray) -> np.ndarray:
+    """table[-x] at every exponent vector x: each character's entry moved
+    to its conjugate's place."""
+    for axis in range(table.ndim):
+        table = np.roll(np.flip(table, axis), 1, axis)
+    return table
+
+
+def _readonly(arr) -> np.ndarray:
+    arr = np.asarray(arr)  # arithmetic on a 0-d array returns a scalar
+    arr.flags.writeable = False
+    return arr
 
 
 # Read-only tables.  The test suite's lookups replayed through an LRU hit
@@ -586,10 +597,7 @@ def character_fft(p: int, k: int, vec: np.ndarray) -> np.ndarray:
 def mellin_direct_all(tf: LocalTestFunction, k: int, /) -> np.ndarray:
     """The direct transform for every character mod p^k at once, one FFT
     of h_local_vector, indexed like character_fft."""
-    hat = character_fft(tf.p, k, h_local_vector(tf, k))
-    hat /= tf.p**k
-    hat.flags.writeable = False
-    return hat
+    return _readonly(character_fft(tf.p, k, h_local_vector(tf, k)) / tf.p**k)
 
 
 @lru_cache(maxsize=32)
@@ -598,178 +606,170 @@ def gauss_level_table(p: int, k: int, /) -> np.ndarray:
     p^k, indexed like character_fft."""
     pk = p**k
     vec = np.array([e(m, pk) if pk == 1 or m % p else 0 for m in range(pk)], dtype=complex)
-    # the transform pairs vec with conj(chi_x) = chi_{-x}: negate every index
-    tau = character_fft(p, k, vec)
-    for axis in range(tau.ndim):
-        tau = np.roll(np.flip(tau, axis), 1, axis)
-    tau.flags.writeable = False
-    return tau
+    # the transform pairs vec with conj(chi_x) = chi_{-x}
+    return _readonly(_conj_index(character_fft(p, k, vec)))
 
 
 def mellin_closed(tf: LocalTestFunction, alpha: DirichletCharacter, k: int) -> complex:
-    """The family's Gauss-sum formula for the Fourier-Mellin transform, the
-    Gauss sums read from gauss_level_table(p, k)."""
+    """The closed form at one character, read from mellin_closed_all; zero
+    when c(alpha) > k."""
+    if alpha.conductor_exponent() > k:
+        return 0j
+    return complex(mellin_closed_all(tf, k)[_at_level(alpha, k).exps])
+
+
+@lru_cache(maxsize=256)
+def mellin_closed_all(tf: LocalTestFunction, k: int, /) -> np.ndarray:
+    """The family's Gauss-sum formula for the transform at every alpha mod
+    p^k, indexed like mellin_direct_all; zero below k_p.  Classical and
+    Nelson: scale tau(conj alpha)^2 / p^k; principal series: delta_p
+    tau(conj(alpha chi)) tau(conj(alpha) chi) / p^k, each tau an index
+    shift of gauss_level_table(p, k).  Supercuspidal: zero unless
+    c(conj(alpha)_E xi) = ek - d, else its stationary E-side Gauss sum;
+    the neighborhood family is index() times its base."""
     p = tf.p
     pk = p**k
-    if alpha.conductor_exponent() > k or k < tf.k_p():
-        return 0j
-    alpha_k = _at_level(alpha, k)
+    if k < tf.k_p():
+        return _readonly(np.zeros(unit_group_zpk(p, k)[1], dtype=np.complex128))
+    if isinstance(tf, (Supercuspidal, SupercuspidalNbhd)):
+        base = tf.base if isinstance(tf, SupercuspidalNbhd) else tf
+        crit = composed_conductor_all(base.xi, k) == base.ext.e * k - base.d
+        out = _sc_prefactor(base, k) * _conj_index(np.where(crit, _stationary_E_gauss_all(base.xi, k), 0)) / pk
+        return _readonly(out if tf is base else tf.index() * out)
+    tau = _conj_index(gauss_level_table(p, k))  # tau(conj chi_x) at x
     if isinstance(tf, (Classical, NelsonEq)):
-        tau = complex(gauss_level_table(p, k)[alpha_k.conjugate().exps])
-        return _classical_scale(tf, k) * tau * tau / pk
+        return _readonly(_classical_scale(tf, k) * tau * tau / pk)
     if isinstance(tf, PrincipalSeries):
-        taus = gauss_level_table(p, k)
-        chi_k = _at_level(tf.chi, k)
-        tau1 = complex(taus[(alpha_k * chi_k).conjugate().exps])
-        tau2 = complex(taus[(alpha_k.conjugate() * chi_k).exps])
-        return float(tf.delta_p()) * tau1 * tau2 / pk
-    if isinstance(tf, Supercuspidal):
-        return _mellin_closed_sc(tf, alpha_k, k)
-    if isinstance(tf, SupercuspidalNbhd):
-        return tf.index() * _mellin_closed_sc(tf.base, alpha_k, k)
+        c, axes = _at_level(tf.chi, k).exps, tuple(range(tau.ndim))
+        return _readonly(float(tf.delta_p()) * np.roll(tau, [-x for x in c], axes) * np.roll(tau, c, axes) / pk)
     raise TypeError(f"unknown family {tf!r}")
 
 
 def composed_conductor(alpha_bar: DirichletCharacter, xi: ExtCharacter, k: int) -> int:
-    """c((alpha_bar o Nm) xi) by a top-down layer scan at pair precision
-    p^k; valid while the conductor is at most ek."""
-    ext = xi.ext
-    pk = ext.p**k
-    for j in range(ext.e * k - 1, 0, -1):
-        for tau in _layer_generators(ext, j, k):
-            gen = ((1 + tau[0]) % pk, tau[1] % pk)
-            if _composed_phase(alpha_bar, xi, gen, k) != 0:
-                return j + 1
-    for u in ext.units(1):
-        if _composed_phase(alpha_bar, xi, u, k) != 0:
-            return 1
-    return 0
+    """c((alpha_bar o Nm) xi) at precision p^k: composed_conductor_all's entry."""
+    return int(composed_conductor_all(xi, k)[_at_level(alpha_bar, k).exps])
 
 
-def _layer_generators(ext: QuadExtension, j: int, k: int):
-    """Pairs tau with v_E(tau) = j whose one-units generate layer j."""
+@lru_cache(maxsize=64)
+def composed_conductor_all(xi: ExtCharacter, k: int, /) -> np.ndarray:
+    """c((chi o Nm) xi) for every chi mod p^k, indexed like character_fft:
+    one more than the deepest layer j with a nonzero phase at one of its
+    generators (layer 0: the residue field's units), else 0.  Valid while
+    the conductor is at most ek."""
+    _, P, js = _layer_phases(xi, k)
+    return _readonly(((P != 0) * (js + 1)).max(1, initial=0).reshape(unit_group_zpk(xi.ext.p, k)[1]))
+
+
+def _layer_generators(ext: QuadExtension, j: int):
+    """Pairs tau spanning p_E^j / p_E^{j+1}: the 1 + tau generate layer j."""
     p = ext.p
     if ext.e == 1:
         return [(p**j, 0), (0, p**j)]
-    half = j // 2
-    if j % 2 == 0:
-        return [(p**half, 0)]
-    return [(0, p**half)]
+    return [(p ** (j // 2), 0)] if j % 2 == 0 else [(0, p ** (j // 2))]
 
 
-def _composed_L(alpha_bar: DirichletCharacter, xi: ExtCharacter) -> int:
-    """The modulus of the phases of (alpha_bar o Nm) xi."""
-    return math.lcm(alpha_bar.L, xi.group.L)
-
-
-def _composed_phase(
-    alpha_bar: DirichletCharacter, xi: ExtCharacter, pair: tuple[int, int], k: int
-) -> int:
-    """Exact phase of (alpha_bar o Nm) xi at a unit pair mod p^k, an
-    integer mod _composed_L(alpha_bar, xi)."""
-    ext = xi.ext
-    prec = ext.p ** max(k, alpha_bar.modulus_exponent, 1)
-    L = _composed_L(alpha_bar, xi)
-    ph_a = alpha_bar.phase(ext.norm(pair, prec))
-    return (ph_a * (L // alpha_bar.L) + xi.unit_phase(pair) * (L // xi.group.L)) % L
-
-
-def _mellin_closed_sc(tf: Supercuspidal, alpha: DirichletCharacter, k: int) -> complex:
-    """Zero unless c(conj(alpha)_E xi) = ek - d; otherwise the E-side
-    Gauss sum, evaluated at its stationary point.  The caller has checked
-    k >= k_p and c(alpha) <= k."""
-    ext, xi = tf.ext, tf.xi
-    alpha_bar = alpha.conjugate()
-    if composed_conductor(alpha_bar, xi, k) != ext.e * k - ext.d:
-        return 0j
-    G = _stationary_E_gauss(alpha_bar, xi, k)
-    return _sc_prefactor(tf, k) * G / ext.p**k
-
-
-def _layer_shifts(ext: QuadExtension, lv: int, k: int):
-    """Representatives of p_E^lv / p_E^{lv+1} as pairs (including 0)."""
-    p = ext.p
-    if ext.e == 1:
-        base = p**lv
-        return [(base * t1, base * t2) for t1 in range(p) for t2 in range(p)]
-    half = lv // 2
-    if lv % 2 == 0:
-        return [(p**half * t, 0) for t in range(p)]
-    return [(0, p**half * t) for t in range(p)]
-
-
-def _lattice_classes(ext: QuadExtension, r: int, s: int, k: int):
-    """Representatives of p_E^r / p_E^s as pairs mod p^k."""
+@lru_cache(maxsize=64)
+def _layer_phases(xi: ExtCharacter, k: int, /) -> tuple[int, np.ndarray, np.ndarray]:
+    """(L, P, js): P[x, i] is the phase mod L of (chi_x o Nm) xi, for every
+    chi_x mod p^k in C order, at the i-th pair: 1 + tau for the generators
+    tau of layer j = ek-1, ..., 1, then the generators of the residue
+    field's units (layer 0), js[i] its layer; one integer matrix product."""
+    ext, G = xi.ext, xi.group
     pk = ext.p**k
-    out = [(0, 0)]
-    for lv in range(r, s):
-        out = [
-            ((a + sa) % pk, (b + sb) % pk)
-            for (a, b) in out
-            for (sa, sb) in _layer_shifts(ext, lv, k)
-        ]
-    return out
+    layers = [(j, tau) for j in range(ext.e * k - 1, 0, -1) for tau in _layer_generators(ext, j)]
+    layers += [(0, u) for u in unit_group(ext, 1).gens]
+    pairs = [((1 + a) % pk, b % pk) if j else (a, b) for j, (a, b) in layers]
+    L_a, W = _character_weights(ext.p, k)
+    L = math.lcm(L_a, G.L)
+    ph_a = W @ dlog_rows(ext.p, k)[1][[ext.norm(u, pk) for u in pairs]].T % L_a
+    ph_x = np.array([xi.unit_phase(u) for u in pairs], dtype=np.int64)
+    js = np.array([j for j, _ in layers], dtype=np.int64)
+    return L, (ph_a * (L // L_a) + ph_x * (L // G.L)) % L, js
 
 
-def _stationary_E_gauss(
-    alpha_bar: DirichletCharacter, xi: ExtCharacter, k: int
-) -> complex:
-    """G = sum over (O_E/p^k)^x of psi_c(u) psi_E(-u/p^k) for the composed
-    character psi_c of conductor ek - d: the layer pairings pin the
-    stationary unit x one digit per layer, and only the few classes
-    congruent to x mod p_E^r survive."""
+def _character_weights(p: int, k: int) -> tuple[int, np.ndarray]:
+    """(L_a, W): chi_x's phase at y is W[x] . dlog_rows(p, k)[1][y] mod L_a."""
+    orders = unit_group_zpk(p, k)[1]
+    L_a = math.lcm(*orders)
+    units, rows = dlog_rows(p, k)
+    return L_a, rows[units] * np.array([L_a // o for o in orders], dtype=np.int64)
+
+
+def _stationary_E_gauss(alpha_bar: DirichletCharacter, xi: ExtCharacter, k: int) -> complex:
+    """G = sum over (O_E/p^k)^x of psi_c(u) psi_E(-u/p^k) for psi_c =
+    (alpha_bar o Nm) xi, read from _stationary_E_gauss_all."""
+    return complex(_stationary_E_gauss_all(xi, k)[_at_level(alpha_bar, k).exps])
+
+
+@lru_cache(maxsize=64)
+def _stationary_E_gauss_all(xi: ExtCharacter, k: int, /) -> np.ndarray:
+    """G(chi) = sum over (O_E/p^k)^x of psi(u) psi_E(-u/p^k), psi = (chi o
+    Nm) xi, for every chi mod p^k, indexed like character_fft; zero where
+    c(psi) > ek - d.  Above s = ceil(ek/2), tau -> psi(1 + tau) is additive
+    and equals psi_E(x tau / p^k) for a stationary x.  Each layer j =
+    ek-d-1, ..., s pins one digit of x (two coordinates when E is
+    unramified): Tr(x tau) is affine in the digit, so the layer's
+    equations are one linear system mod p, solved for every chi at once.
+    Only the classes x + p_E^r / p_E^s survive; when x is not a unit
+    (c(psi) < ek - d) they are non-units, where xi_table is zero."""
     ext = xi.ext
-    p, e_, d = ext.p, ext.e, ext.d
-    check_capacity(p, k)
-    pk = p**k
-    L = _composed_L(alpha_bar, xi)
-    c_prime = e_ * k - d
+    p, e_, d, c_psi = ext.p, ext.e, ext.d, c_psi_E(ext)
+    pk, top = p**k, p ** max(k - 1, 0)
+    L, P, js = _layer_phases(xi, k)
     s = -(-(e_ * k) // 2)
-    r = max(e_ * k - s + c_psi_E(ext), 0)
-    x, depth = (1 % pk, 0), 0
-    for j in range(c_prime - 1, s - 1, -1):
-        want = e_ * k - j + c_psi_E(ext)
-        cands = [
-            ((x[0] + da) % pk, (x[1] + db) % pk)
-            for da, db in _lattice_classes(ext, depth, want, k)
-        ]
-        # x is stationary when psi_c(1 + tau) == psi_E(x tau / p^k) for every
-        # generator tau of valuation j, i.e. lhs / L == Tr(x tau) / p^k; the
-        # left side does not depend on x
-        eqs = [
-            (tau, _composed_phase(alpha_bar, xi, ((1 + tau[0]) % pk, tau[1] % pk), k))
-            for tau in _layer_generators(ext, j, k)
-        ]
-        new_x = None
-        for cand in cands:
-            if not ext.is_unit(cand):
-                continue
-            if all(ext.trace(ext.mul(cand, tau, pk), pk) * L == lhs * pk for tau, lhs in eqs):
-                if new_x is not None and new_x != cand:
-                    raise AssertionError("stationary point not unique")
-                new_x = cand
-        if new_x is None:
-            return 0j
-        x, depth = new_x, want
-    total = 0j
-    for da, db in _lattice_classes(ext, r, s, k):
-        u0 = ((x[0] + da) % pk, (x[1] + db) % pk)
-        if not ext.is_unit(u0):
-            continue
-        total += e(_composed_phase(alpha_bar, xi, u0, k), L) * e(-ext.trace(u0, pk), pk)
-    return float(ext.q_E) ** (e_ * k - s) * total
+    x = np.tile(np.array([1 % pk, 0], dtype=np.int64), (len(P), 1))
+    live = composed_conductor_all(xi, k).ravel() <= e_ * k - d
+    g = math.gcd(L, pk)
+    for j in range(e_ * k - d - 1, s - 1, -1):
+        taus = _layer_generators(ext, j)
+        # Tr(x tau) = x . (Tr(tau), Tr(alpha0 tau)); the digit's basis sits
+        # at depth ek - j + c(psi_E) - 1, where every Tr(beta tau) has
+        # valuation k - 1, so the system is read mod p
+        tr = np.array([[ext.trace(t, pk), ext.trace(ext.mul((0, 1), t, pk), pk)] for t in taus])
+        basis = np.array(_layer_generators(ext, e_ * k - j + c_psi - 1), dtype=np.int64)
+        # psi(1 + tau) = e(T / p^k), a p-power root of unity on U_E(1)
+        R = (P[:, js == j] // (L // g) * (pk // g) - x @ tr.T) % pk
+        if (R % top).any():
+            raise AssertionError("stationary equation without a solution")
+        digits = (R // top) @ _inverse_mod_p((tr @ basis.T % pk // top).tolist(), p).T % p
+        x = (x + digits @ basis) % pk
+    # the classes of p_E^r / p_E^s: every digit combination of its layers
+    basis = [g for lv in range(max(e_ * k - s + c_psi, 0), s) for g in _layer_generators(ext, lv)]
+    combos = np.indices((p,) * len(basis)).reshape(len(basis), p ** len(basis)).T
+    deltas = combos @ np.array(basis, dtype=np.int64).reshape(-1, 2) % pk
+    L_a, W = _character_weights(p, k)
+    rows, table, pM = dlog_rows(p, k)[1], xi_table(xi), xi.group.pk
+    G = np.zeros(len(P), dtype=np.complex128)
+    # about 2^16 classes at a time bound the arrays; psi(u) is chi at Nm u
+    # times xi_table, which is zero off units
+    idx, step = np.flatnonzero(live), max(1, (1 << 16) // len(deltas))
+    for lo in range(0, len(idx), step):
+        i = idx[lo:lo + step]
+        ua, ub = np.moveaxis((x[i, None] + deltas) % pk, -1, 0)
+        ph = (rows[(ua * ua - ext.A * ua * ub + ext.B * ub * ub) % pk] * W[i, None]).sum(-1)
+        psi = np.exp(2j * np.pi * (ph % L_a / L_a)) * table[ua % pM, ub % pM]
+        G[i] = float(ext.q_E) ** (e_ * k - s) * (psi * np.exp(-2j * np.pi * ((2 * ua - ext.A * ub) % pk / pk))).sum(1)
+    return _readonly(G.reshape(unit_group_zpk(p, k)[1]))
+
+
+def _inverse_mod_p(C: list, p: int) -> np.ndarray:
+    """C^{-1} mod p for a 1x1 or 2x2 integer C, from its adjugate; a
+    singular C would leave more than one stationary digit."""
+    (a, b), (c, d) = C if len(C) == 2 else ((C[0][0], 0), (0, 1))
+    if (a * d - b * c) % p == 0:
+        raise AssertionError("stationary point not unique")
+    return (np.array([[d, -b], [-c, a]]) * pow(a * d - b * c, -1, p) % p)[: len(C), : len(C)]
 
 
 def E_gauss_brute(alpha_bar: DirichletCharacter, xi: ExtCharacter, k: int) -> complex:
-    """Full-sum oracle for _stationary_E_gauss (small k only)."""
+    """Full-sum oracle for _stationary_E_gauss (small k only): alpha_bar,
+    xi and psi_E evaluated at every unit."""
     ext = xi.ext
     check_capacity(ext.p, k)
     pk = ext.p**k
-    L = _composed_L(alpha_bar, xi)
-    total = 0j
-    for u in ext.units(k):
-        total += e(_composed_phase(alpha_bar, xi, u, k), L) * e(-ext.trace(u, pk), pk)
-    return total
+    prec = ext.p ** max(k, alpha_bar.modulus_exponent, 1)
+    terms = (alpha_bar(ext.norm(u, prec)) * xi(u) * e(-ext.trace(u, pk), pk) for u in ext.units(k))
+    return sum(terms, 0j)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,21 @@ def unit_group_zpk(p: int, k: int):
     return gens, orders, dlog
 
 
+@lru_cache(maxsize=32)
+def dlog_rows(p: int, k: int):
+    """unit_group_zpk(p, k)'s dlog table as two numpy arrays: units[i] is
+    the unit whose exponent vector is the i-th in C order (the order the
+    table is built in), and rows[y] is the exponent vector of y (zero off
+    units), so rows[units] lists every exponent vector in C order."""
+    import numpy as np
+
+    _, orders, dlog = unit_group_zpk(p, k)
+    units = np.fromiter(dlog, dtype=np.int64, count=len(dlog))
+    rows = np.zeros((p**k, len(orders)), dtype=np.int64)
+    rows[units] = np.array(list(dlog.values()), dtype=np.int64).reshape(len(units), len(orders))
+    return units, rows
+
+
 def _primitive_root_mod_pk(p: int, k: int) -> int:
     for g in range(2, p):
         if _is_primitive_root_mod_p(g, p):
@@ -283,11 +298,9 @@ class DirichletCharacter:
         """chi(n) for every n mod p^k as a numpy array, zero off units."""
         import numpy as np
 
-        units = np.fromiter(self._dlog, dtype=np.int64, count=len(self._dlog))
-        dlogs = np.array(list(self._dlog.values()), dtype=np.int64)
-        weights = np.array(self._weights, dtype=np.int64)
+        units, rows = dlog_rows(self.p, self.modulus_exponent)
         out = np.zeros(self.modulus, dtype=np.complex128)
-        phases = dlogs.reshape(len(units), -1) @ weights % self.L
+        phases = rows[units] @ np.array(self._weights, dtype=np.int64) % self.L
         out[units] = np.exp(2j * np.pi * phases / self.L)
         return out
 

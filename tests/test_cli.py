@@ -51,6 +51,22 @@ FAMILY_FLAGS = [
 ]
 
 
+class TestMellinReadsTables:
+    @pytest.mark.parametrize("flags", FAMILY_FLAGS, ids=lambda f: f.split()[1])
+    def test_no_one_alpha_closed_form_calls(self, capsys, monkeypatch, flags):
+        from genkl import engine
+
+        def no_call(*args):
+            raise AssertionError("one-character closed-form call")
+
+        for name in ("mellin_closed", "composed_conductor", "_stationary_E_gauss"):
+            monkeypatch.setattr(engine, name, no_call)
+        code, out = run(capsys, "mellin", *flags.split(), "--k", "0..3")
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) > 0 and all(float(row.split(",")[-1]) < 1e-8 for row in rows)
+
+
 class TestKlsumMatchesOnePoint:
     @pytest.mark.parametrize("flags, fmt", [
         pytest.param(flags, fmt, id=flags.split()[1] + ("-json" if fmt == "json" else ""))

@@ -32,6 +32,7 @@ from genkl.engine import (
     classical_S,
     classical_S_many,
     composed_conductor,
+    composed_conductor_all,
     dihedral_sum_I,
     gauss_level_table,
     h_global,
@@ -44,6 +45,7 @@ from genkl.engine import (
     langlands_gamma,
     langlands_gamma_eps,
     mellin_closed,
+    mellin_closed_all,
     mellin_direct,
     mellin_direct_all,
     stationary_decomposition_check,
@@ -531,6 +533,14 @@ class TestHGlobal:
                 want *= h_local(tf, m * cbar0, n * cbar0, kk).value
             assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
+    def test_huge_m_equals_its_residue(self):
+        # m beyond int64, at an unramified prime (7) and the ramified one (3);
+        # 7 | gcd(m, n) at c = 63 takes the classical_S_many columns
+        gtf = GlobalTestFunction((Classical(3, 1),))
+        m = 10**30 + 7
+        assert h_global(gtf, m, 1, 21) == h_global(gtf, m % 21, 1, 21)
+        assert h_global(gtf, 7 * m, 14, 63) == h_global(gtf, 7 * m % 63, 14, 63)
+
     def test_periodicity_global(self):
         gtf = GlobalTestFunction((make_sc(3, 0),))
         for c in (3, 6, 9):
@@ -548,16 +558,28 @@ class TestMellin:
     )
     def test_direct_equals_closed(self, tf):
         p = tf.p
-        cases = [
-            (alpha, k)
-            for k in range(0, 5)
-            if p**k <= 700
-            for alpha in enumerate_dirichlet(p, k)
-        ]
-        for alpha, k in cases + [self.DEEP_ALPHA]:
-            d = mellin_direct(tf, alpha, k)
-            c = mellin_closed(tf, alpha, k)
-            assert abs(d - c) < 1e-8, (tf.tag, k, alpha.exps)
+        for k in range(0, 5):
+            if p**k > 700:
+                break
+            direct, closed = mellin_direct_all(tf, k), mellin_closed_all(tf, k)
+            assert closed.shape == direct.shape
+            assert np.abs(direct - closed).max() < 1e-8, (tf.tag, k)
+            with pytest.raises(ValueError):
+                closed[(0,) * closed.ndim] = 0
+        alpha, k = self.DEEP_ALPHA
+        assert abs(mellin_direct(tf, alpha, k) - mellin_closed(tf, alpha, k)) < 1e-8
+
+    @pytest.mark.parametrize("tf", ALL_SMALL_FAMILIES, ids=lambda t: t.tag)
+    def test_one_alpha_calls_read_the_tables(self, tf):
+        xi = getattr(tf, "xi", None)
+        for k in (1, 2, 3):
+            for alpha in enumerate_dirichlet(tf.p, k):
+                assert mellin_closed(tf, alpha, k) == mellin_closed_all(tf, k)[alpha.exps]
+                if xi is not None and k >= xi.group.M:
+                    conds = composed_conductor_all(xi, k)
+                    assert composed_conductor(alpha, xi, k) == conds[alpha.exps]
+                    G = engine._stationary_E_gauss_all(xi, k)
+                    assert engine._stationary_E_gauss(alpha, xi, k) == G[alpha.exps]
 
     def test_deep_alpha_reads_level_k(self):
         alpha, k = self.DEEP_ALPHA
@@ -607,39 +629,41 @@ class TestMellin:
 
     def test_sc_nonvanishing_criterion_and_modulus(self):
         for tf in (make_sc(3, 0), make_sc(3, 1), make_sc(5, 0)):
-            p = tf.p
-            xi = tf.xi
             delta = float(tf.delta_p())
             for k in range(1, 4):
-                for alpha in enumerate_dirichlet(p, k):
-                    d = mellin_direct(tf, alpha, k)
-                    admissible = (
-                        alpha.conductor_exponent() <= k and 2 * k >= tf.c_sigma
-                    )
-                    if admissible:
-                        ab = alpha.conjugate()
-                        ab = ab.extend(k) if ab.modulus_exponent < k else ab
-                        crit = composed_conductor(ab, xi, k) == tf.ext.e * k - tf.d
-                    else:
-                        crit = False
-                    assert crit == (abs(d) > 1e-8)
-                    if crit:
-                        assert abs(abs(d) - delta) < 1e-8
+                d = mellin_direct_all(tf, k)
+                # conds[x] is c((chi_x o Nm) xi); alpha_x's conjugate sits at -x
+                conds = engine._conj_index(composed_conductor_all(tf.xi, k))
+                crit = (2 * k >= tf.c_sigma) & (conds == tf.ext.e * k - tf.d)
+                assert (crit == (np.abs(d) > 1e-8)).all()
+                assert (np.abs(np.abs(d[crit]) - delta) < 1e-8).all()
 
     def test_stationary_gauss_vs_full_sum(self):
-        tf = make_sc(3, 0, cxi=2)
-        xi = tf.xi
-        for k in (2, 3):
-            for alpha in enumerate_dirichlet(3, k)[:8]:
-                ab = alpha.conjugate()
-                ab = ab.extend(k) if ab.modulus_exponent < k else ab
-                if composed_conductor(ab, xi, k) != k:
-                    continue
-                from genkl.engine import _stationary_E_gauss
+        # an unramified and a ramified xi at p = 3 and the odd-A unramified
+        # extension of Q_2; every alpha_bar mod p^k, those with no
+        # stationary point included (zero on both sides)
+        for p, which in ((3, 0), (3, 1), (2, 0)):
+            ext = standard_extensions(p)[which]
+            xi = enumerate_xi(ext, 2, eta_restriction(ext), regular_only=True)[0]
+            assert p != 2 or ext.A % 2 == 1
+            seen = set()
+            for k in (2, 3):
+                conds = composed_conductor_all(xi, k)
+                for ab in enumerate_dirichlet(ext.p, k):
+                    fast = engine._stationary_E_gauss(ab, xi, k)
+                    slow = E_gauss_brute(ab, xi, k)
+                    assert abs(fast - slow) < 1e-8 * max(1.0, abs(slow)), (ext, k, ab.exps)
+                    stationary = bool(conds[ab.exps] == ext.e * k - ext.d)
+                    assert stationary == (abs(slow) > 1e-8), (ext, k, ab.exps)
+                    seen.add(stationary)
+            assert seen == {True, False}, ext
 
-                fast = _stationary_E_gauss(ab, xi, k)
-                slow = E_gauss_brute(ab, xi, k)
-                assert abs(fast - slow) < 1e-8 * max(1.0, abs(slow))
+    def test_singular_layer_system_is_refused(self):
+        assert (engine._inverse_mod_p([[2, 1], [1, 1]], 3) == [[1, 2], [2, 2]]).all()
+        with pytest.raises(AssertionError, match="stationary point not unique"):
+            engine._inverse_mod_p([[1, 2], [2, 1]], 3)
+        with pytest.raises(AssertionError, match="stationary point not unique"):
+            engine._inverse_mod_p([[3]], 3)
 
     def test_classical_primitive_level_modulus(self):
         # at c(alpha) = k >= c the transform has modulus f(1) in the

@@ -10,13 +10,15 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import sys
 
 import numpy as np
 
-from .padic import CapacityError, check_capacity, enumerate_dirichlet
+from .padic import CapacityError, check_capacity, enumerate_dirichlet, is_prime
 from .quadext import standard_extensions
 from .extchars import enumerate_xi, eta_restriction, is_regular, is_twist_minimal
 from .families import (
@@ -75,7 +77,7 @@ def build_family(args):
 def _add_family_flags(sp):
     sp.add_argument("--family", required=True,
                     choices=["classical", "ps", "supercuspidal", "nbhd", "nelson"])
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_prime, required=True)
     sp.add_argument("--c", type=int, default=1, help="c for classical / nelson")
     sp.add_argument("--chi-conductor", type=int, default=1)
     sp.add_argument("--chi-index", type=int, default=0)
@@ -90,6 +92,38 @@ def _parse_range(spec: str) -> list[int]:
         lo, hi = spec.split("..")
         return list(range(int(lo), int(hi) + 1))
     return [int(x) for x in spec.split(",")]
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _prime(text: str) -> int:
+    p = _int(text)
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"p must be a prime, got {p}")
+    return p
+
+
+def _nonnegative(text: str) -> int:
+    n = _int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
+def _k_values(text: str) -> list[int]:
+    """--k: k, a..b or a comma list, every k >= 0."""
+    try:
+        ks = _parse_range(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid k, a..b or comma list: {text!r}") from None
+    if min(ks, default=0) < 0:
+        raise argparse.ArgumentTypeError(f"k must be >= 0, got {text}")
+    return ks
 
 
 def _emit(text: str, args):
@@ -139,15 +173,14 @@ def _klsum_block(tf, k: int, ms, ns, fmt: str) -> str:
 def cmd_klsum(args):
     tf = build_family(args)
     p = args.p
-    ks = _parse_range(args.k)
-    for k in ks:
+    for k in args.k:
         check_capacity(p, k)
     if args.grid == "mn":
         grid = list(itertools.product(_parse_range(args.m), _parse_range(args.n)))
         ms = [m for m, _ in grid]
         ns = [n for _, n in grid]
     blocks = [] if args.format == "json" else ["family,p,k,m,n,re,im,vanishing_reason\n"]
-    for k in ks:
+    for k in args.k:
         if args.grid == "units":
             t = np.arange(1, p**k)
             # at k = 0 the one class mod 1 is 0
@@ -161,7 +194,7 @@ def cmd_klsum(args):
 def cmd_mellin(args):
     tf = build_family(args)
     rows = []
-    for k in _parse_range(args.k):
+    for k in args.k:
         direct, closed = engine.mellin_direct_all(tf, k), engine.mellin_closed_all(tf, k)
         for exps in np.ndindex(direct.shape):
             d, c = direct[exps], closed[exps]
@@ -187,7 +220,7 @@ def cmd_conductor(args):
 def cmd_bounds(args):
     tf = build_family(args)
     rows = []
-    for k in _parse_range(args.k):
+    for k in args.k:
         for m in _parse_range(args.m):
             for n in _parse_range(args.n):
                 for item in engine.bound_report(tf, m, n, k):
@@ -377,65 +410,89 @@ def cmd_petersson_verify(args):
     return 0 if ok else 2
 
 
-def main(argv=None) -> int:
-    parser = _Parser(prog="genkl")
-    parser.add_argument("--format", choices=["json", "csv"], default="csv")
-    parser.add_argument("--out", default="-")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("klsum")
+def _klsum_flags(sp):
     _add_family_flags(sp)
-    sp.add_argument("--k", required=True, help="k or a..b or comma list")
+    sp.add_argument("--k", required=True, type=_k_values, help="k or a..b or comma list")
     sp.add_argument("--grid", choices=["units", "mn"], default="units")
     sp.add_argument("--m", default="1")
     sp.add_argument("--n", default="1")
-    sp.set_defaults(func=cmd_klsum)
 
-    sp = sub.add_parser("mellin")
-    _add_family_flags(sp)
-    sp.add_argument("--k", required=True)
-    sp.set_defaults(func=cmd_mellin)
 
-    sp = sub.add_parser("conductor")
+def _mellin_flags(sp):
     _add_family_flags(sp)
-    sp.add_argument("--slack", type=int, default=2)
-    sp.set_defaults(func=cmd_conductor)
+    sp.add_argument("--k", required=True, type=_k_values)
 
-    sp = sub.add_parser("bounds")
+
+def _conductor_flags(sp):
     _add_family_flags(sp)
-    sp.add_argument("--k", required=True)
+    sp.add_argument("--slack", type=_nonnegative, default=2)
+
+
+def _bounds_flags(sp):
+    _add_family_flags(sp)
+    sp.add_argument("--k", required=True, type=_k_values)
     sp.add_argument("--m", default="1")
     sp.add_argument("--n", default="1")
-    sp.set_defaults(func=cmd_bounds)
 
-    sp = sub.add_parser("identities")
+
+def _identities_flags(sp):
     sp.add_argument("--suite", required=True,
                     choices=["degeneration", "averaging", "stationary", "mellin", "all"])
-    sp.add_argument("--p", type=int, required=True)
-    sp.set_defaults(func=cmd_identities)
+    sp.add_argument("--p", type=_prime, required=True)
 
-    sp = sub.add_parser("petersson-verify")
+
+def _petersson_verify_flags(sp):
     sp.add_argument("--kappa", default="12")
     sp.add_argument("--mmax", type=int, default=5)
     sp.add_argument("--cmax", type=int, default=600)
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--eigen-cache", default=None,
                     help="JSONL eigenvalue cache; omitted = builtin oracle")
-    sp.set_defaults(func=cmd_petersson_verify)
 
-    sp = sub.add_parser("char-enum")
-    sp.add_argument("--p", type=int, required=True)
+
+def _char_enum_flags(sp):
+    sp.add_argument("--p", type=_prime, required=True)
     sp.add_argument("--ext", default="unramified")
     sp.add_argument("--cxi", type=int, required=True)
-    sp.set_defaults(func=cmd_char_enum)
 
-    sp = sub.add_parser("family-info")
-    _add_family_flags(sp)
-    sp.set_defaults(func=cmd_family_info)
 
-    args = parser.parse_args(argv)
+# name -> (command, flag builder), in the order of genkl --help
+COMMANDS = {
+    "klsum": (cmd_klsum, _klsum_flags),
+    "mellin": (cmd_mellin, _mellin_flags),
+    "conductor": (cmd_conductor, _conductor_flags),
+    "bounds": (cmd_bounds, _bounds_flags),
+    "identities": (cmd_identities, _identities_flags),
+    "petersson-verify": (cmd_petersson_verify, _petersson_verify_flags),
+    "char-enum": (cmd_char_enum, _char_enum_flags),
+    "family-info": (cmd_family_info, _add_family_flags),
+}
+
+
+def _parser(names):
+    parser = _Parser(prog="genkl")
+    parser.add_argument("--format", choices=["json", "csv"], default="csv")
+    parser.add_argument("--out", default="-")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        COMMANDS[name][1](sub.add_parser(name))
+    return parser
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse builds a help formatter for every flag it registers, so only
+    # the command named in argv gets its subparser and flags.  Help and
+    # usage errors name every command: they come from a second parse with
+    # all of them registered.
+    named = next((a for a in argv if a in COMMANDS), None)
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args = _parser([named] if named else COMMANDS).parse_args(argv)
+    except SystemExit:
+        args = _parser(COMMANDS).parse_args(argv)
+    try:
+        return COMMANDS[args.command][0](args)
     except CapacityError as exc:
         sys.stderr.write(f"capacity exceeded: {exc}\n")
         return 3

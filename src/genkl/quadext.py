@@ -20,6 +20,7 @@ from .padic import (
     GROUP_CAPACITY,
     hensel_sqrt_set,
     hilbert_symbol,
+    is_prime,
     legendre_symbol,
     valuation,
 )
@@ -47,6 +48,8 @@ class QuadExtension:
     B: int
 
     def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"p = {self.p} is not a prime")
         D = self.A * self.A - 4 * self.B
         if D == 0 or _is_square_qp(D, self.p):
             raise ValueError("x^2 + Ax + B is reducible over Q_p")
@@ -303,11 +306,13 @@ class UnitGroup:
         self.M = -(-m // e)
         self.pk = p**self.M
         order = self._closed_form_order()
-        if order > GROUP_CAPACITY:
-            raise CapacityError(f"unit group of size {order} exceeds capacity")
+        # the build holds arrays over all p^2M pairs (a, b): at most twice
+        # the order, p^2/(p - 1) times it when a layer is quotiented out
+        if order > GROUP_CAPACITY or self.pk**2 > 2 * GROUP_CAPACITY:
+            raise CapacityError(f"unit group of size {order} mod {p}^{self.M} exceeds capacity")
         self._quotient_layer = e == 2 and m % 2 == 1
-        self._build()
-        assert self.order == order, (self.order, order)
+        self._b_mod = self.pk // p if self._quotient_layer else self.pk
+        self._build(order)
         # the group exponent: a character's phases are integers mod L
         self.L = math.lcm(*self.orders)
 
@@ -323,69 +328,68 @@ class UnitGroup:
     # -- construction ------------------------------------------------------
 
     def _class_rep(self, x: tuple[int, int]) -> tuple[int, int]:
-        if not self._quotient_layer:
-            return x
-        return min(self.ext.mul(x, s, self.pk) for s in self._layer_subgroup)
+        """The least pair of the class of the unit x.  A quotient layer
+        multiplies (a, b) by (1, s p^(M-1)), giving (a - B b s p^(M-1),
+        b + (a - A b) s p^(M-1)); v(B) = 1 kills the first shift and a - A b
+        is a unit, so the class is every (a, b') with b' = b mod p^(M-1)."""
+        return (x[0], x[1] % self._b_mod)
 
-    def _build(self):
+    def _build(self, order: int):
         ext, pk = self.ext, self.pk
-        p = ext.p
+        p, bmod = ext.p, self._b_mod
         if self._quotient_layer:
             step = p ** (self.M - 1)
             self._layer_subgroup = [(1, (t * step) % pk) for t in range(p)]
-        one = self._class_rep((1 % pk, 0))
-        dlog_raw: dict[tuple[int, int], tuple[int, ...]] = {one: ()}
+        # units in the fixed lexicographic order of ext.units (ascending flat
+        # index a p^M + b), which keeps generator choices stable, and the
+        # flat index of each one's class rep
+        flat = np.arange(pk * pk, dtype=np.int64)
+        a, b = np.divmod(flat, pk)
+        unit = (a % p != 0) | ((b % p != 0) & (ext.e == 1))
+        flat = flat[unit]
+        rep = flat - b[unit] + b[unit] % bmod
+        # the subgroup so far: the flat index of each class rep, its raw
+        # exponent row over raw_gens, and the row of each flat index (-1
+        # outside the subgroup)
+        keys = np.array([pk])  # the flat index of (1, 0)
+        raw = np.zeros((1, 0), dtype=np.int64)
+        row = np.full(pk * pk, -1, dtype=np.int64)
+        row[keys] = 0
         raw_gens: list[tuple[int, int]] = []
-        rel_steps: list[int] = []
-        rel_tails: list[tuple[int, ...]] = []
-        # units in the fixed lexicographic order of ext.units, which keeps
-        # generator choices stable
-        for cand in ext.units(self.M):
-            cand = self._class_rep(cand)
-            if cand in dlog_raw:
-                continue
-            # relative order of cand over the current subgroup
-            r = 1
-            x = cand
-            while x not in dlog_raw:
+        R: list[list[int]] = []
+        while len(keys) < order:
+            cand = divmod(int(rep[np.argmax(row[rep] < 0)]), pk)
+            # cand^j for 0 < j < r, r the relative order of cand over the
+            # subgroup: cand^r = x lies in it
+            pows, x = [], cand
+            while row[x[0] * pk + x[1]] < 0:
+                pows.append(x)
                 x = self._class_rep(ext.mul(x, cand, pk))
-                r += 1
-            tail = dlog_raw[x]
-            i = len(raw_gens)
-            new = {}
-            for h, vec in dlog_raw.items():
-                padded = vec + (0,) * (i - len(vec))
-                y = h
-                for j in range(1, r):
-                    y = self._class_rep(ext.mul(y, cand, pk))
-                    new[y] = padded + (j,)
-            for h, vec in dlog_raw.items():
-                dlog_raw[h] = vec + (0,) * (i - len(vec))
-            dlog_raw.update(new)
+            assert pows, "closed-form order exceeds the group"
+            r = len(pows) + 1
+            # relation g_i^r = prod_{j<i} g_j^{tail_j}, as row i of R
+            for rel in R:
+                rel.append(0)
+            R.append([-t for t in raw[row[x[0] * pk + x[1]]].tolist()] + [r])
+            # the new classes h cand^j, h-major
+            ha, hb = np.divmod(keys, pk)
+            ya, yb = ext.mul((ha[:, None], hb[:, None]), np.array(pows).T, pk)
+            new = (ya * pk + yb % bmod).ravel()
+            n = len(keys)
+            raw = np.hstack([raw, np.zeros((n, 1), dtype=np.int64)])
+            block = np.repeat(raw, r - 1, axis=0)
+            block[:, -1] = np.tile(np.arange(1, r), n)
+            raw = np.vstack([raw, block])
+            row[new] = np.arange(n, len(raw))
+            keys = np.concatenate([keys, new])
             raw_gens.append(cand)
-            rel_steps.append(r)
-            rel_tails.append(tail)
-        s = len(raw_gens)
-        for h in dlog_raw:
-            dlog_raw[h] = dlog_raw[h] + (0,) * (s - len(dlog_raw[h]))
-        self.order = len(dlog_raw)
-        # relation matrix: g_i^{r_i} = prod_{j<i} g_j^{tail_ij}
-        R = []
-        for i in range(s):
-            row = [0] * s
-            row[i] = rel_steps[i]
-            for j, t in enumerate(rel_tails[i]):
-                row[j] -= t
-            R.append(row)
-        if s == 0:
-            self.gens, self.orders = [], []
-            self.dlog_map = {one: ()}
-            self._keep = []
-            return
+        assert (row[rep] >= 0).all(), "closed-form order below the group"
+        self.order = len(keys)
         # G = Z^s / (row span of R); Smith form D = U R V diagonalizes the
         # relation lattice.  New generators come from rows of V^{-1} and the
         # canonical dlog is w = V^T v (mod the invariant factors).
         D, V, V_inv = _smith_normal_form(R)
+        s = len(raw_gens)
         invariants = [D[i][i] for i in range(s)]
         keep = [i for i in range(s) if invariants[i] != 1]
         self.orders = [invariants[i] for i in keep]
@@ -398,13 +402,12 @@ class UnitGroup:
                 )
             gens.append(g)
         self.gens = gens
-        self.dlog_map = {
-            h: tuple(
-                sum(V[i][j] * vec[i] for i in range(s)) % invariants[j] for j in keep
-            )
-            for h, vec in dlog_raw.items()
-        }
-        self._keep = keep
+        Vk = np.array([[V[i][j] % invariants[j] for j in keep] for i in range(s)], dtype=np.int64)
+        self._dlog = raw @ Vk.reshape(s, len(keep)) % np.array(self.orders, dtype=np.int64)
+        # each unit's flat index and the row of its class, for units_view
+        self._units = flat, row[rep]
+        ka, kb = np.divmod(keys, pk)
+        self.dlog_map = dict(zip(zip(ka.tolist(), kb.tolist()), map(tuple, self._dlog.tolist())))
         # sanity: generators reproduce their own dlog
         for j, g in enumerate(gens):
             want = tuple(int(i == j) for i in range(len(keep)))
@@ -448,26 +451,15 @@ class UnitGroup:
         maximum over a class is the class's depth."""
         ext, pk, M = self.ext, self.pk, self.M
         p, e = ext.p, ext.e
-        a, b = np.divmod(np.arange(pk * pk, dtype=np.int64), pk)
-        unit = (a % p != 0) | ((b % p != 0) & (e == 1))
-        flat, a, b = np.flatnonzero(unit), a[unit], b[unit]
-        rep = flat
-        if self._quotient_layer:
-            # _class_rep as one array op: the least (a, b)(1, s) =
-            # (a - B b s, b + (a - A b) s) over the layer subgroup
-            s = np.arange(p)[:, None] * p ** (M - 1)
-            rep = (((a - ext.B * b * s) % pk) * pk + (b + (a - ext.A * b) * s) % pk).min(0)
-        reps = sorted(self.dlog_map)
-        dlog = np.array([self.dlog_map[u] for u in reps], dtype=np.int64)
-        dlog = dlog.reshape(len(reps), len(self.orders))
+        flat, rows = self._units
+        a, b = np.divmod(flat, pk)
         weights = np.array([self.L // o for o in self.orders], dtype=np.int64)
-        rows = np.searchsorted([x * pk + y for x, y in reps], rep)
 
         def val(x):  # v_p of residues mod p^M, M at 0
             return sum((x % p**j == 0).astype(np.int64) for j in range(1, M + 1))
 
         depth = np.minimum(np.minimum(e * val((a - 1) % pk), e * val(b) + e - 1), self.m)
-        return flat, dlog[rows] * weights, depth
+        return flat, self._dlog[rows] * weights, depth
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from genkl.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -357,7 +364,125 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        "char-enum --p 6 --cxi 1",
+        "family-info --family classical --p 0",
+        "identities --suite degeneration --p 1",
+        "klsum --family classical --p 4 --c 2 --k 1",
+        "klsum --family classical --p 3 --c 2 --k -1",
+        "mellin --family classical --p 3 --c 1 --k -2",
+        "conductor --family classical --p 3 --c 1 --slack -5",
+    ])
+    def test_bad_input_is_usage_error(self, capsys, argv):
+        # in a subprocess first, since some of these hung the build before
+        code, out, err = run_cli(*argv.split(), timeout=30)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"genkl {argv.split()[0]}: error: argument --")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 1 and time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == err
+
     def test_capacity_is_three(self, capsys):
         code = main(["char-enum", "--p", "13", "--ext", "unramified",
                      "--cxi", "4"])
         assert code == 3
+
+
+def run_cli(*argv, timeout=120):
+    """python -m genkl.cli in a fresh interpreter: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "genkl.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=timeout)
+    return out.returncode, out.stdout, out.stderr
+
+
+COMMAND_FLAGS = {
+    "klsum": "--family --p --c --chi-conductor --chi-index --ext --cxi --xi-index "
+             "--n-radius --k --grid --m --n",
+    "mellin": "--family --p --c --chi-conductor --ext --cxi --n-radius --k",
+    "conductor": "--family --p --c --ext --cxi --n-radius --slack",
+    "bounds": "--family --p --c --ext --cxi --n-radius --k --m --n",
+    "identities": "--suite --p",
+    "petersson-verify": "--kappa --mmax --cmax --tol --eigen-cache",
+    "char-enum": "--p --ext --cxi",
+    "family-info": "--family --p --c --chi-conductor --ext --cxi --n-radius",
+}
+INVALID_BOGUS = (
+    "genkl: error: argument command: invalid choice: 'bogus' (choose from 'klsum', "
+    "'mellin', 'conductor', 'bounds', 'identities', 'petersson-verify', 'char-enum', "
+    "'family-info')\n"
+)
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("name", list(COMMAND_FLAGS))
+    def test_command_help_lists_its_flags(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and err == ""
+        assert out.startswith(f"usage: genkl {name} [-h]")
+        for flag in COMMAND_FLAGS[name].split():
+            assert f" {flag} " in out or f" {flag}\n" in out, flag
+
+    def test_top_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{" + ",".join(COMMAND_FLAGS) + "}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, err", [
+        ("bogus", INVALID_BOGUS),
+        ("bogus klsum", INVALID_BOGUS),
+        ("--format xml klsum --family classical --p 3 --k 1",
+         "genkl: error: argument --format: invalid choice: 'xml' (choose from 'json', 'csv')\n"),
+        ("", "genkl: error: the following arguments are required: command\n"),
+        ("klsum --family classical --p 3 --k 1 mellin",
+         "genkl: error: unrecognized arguments: mellin\n"),
+    ])
+    def test_usage_errors_name_every_command(self, capsys, argv, err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 1
+        assert capsys.readouterr() == ("", err)
+
+    def test_out_value_named_like_a_command(self, capsys, tmp_path, monkeypatch):
+        flags = ["mellin", "--family", "classical", "--p", "3", "--c", "1", "--k", "1..2"]
+        code, want = run(capsys, *flags)
+        monkeypatch.chdir(tmp_path)
+        assert main(["--out", "klsum", *flags]) == code == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "klsum").read_text() == want and want.startswith("family,p,k,alpha,")
+
+    @pytest.mark.parametrize("argv", [
+        "--format json klsum --family supercuspidal --p 3 --ext ramified --cxi 2 --k 1..2",
+        "klsum --family ps --p 5 --chi-conductor 2 --k 0,2",
+        "bogus klsum",
+    ])
+    def test_module_entry_point_matches_main(self, capsys, argv):
+        code, out, err = run_cli(*argv.split())
+        try:
+            got = main(argv.split())
+        except SystemExit as exc:
+            got = exc.code
+        assert (got, *capsys.readouterr()) == (code, out, err)
+
+    def test_klsum_registers_one_family_flag_set(self, capsys, monkeypatch):
+        import genkl.cli as cli
+
+        calls = []
+        real = cli._add_family_flags
+
+        def counted(sp):
+            calls.append(sp.prog)
+            real(sp)
+
+        monkeypatch.setattr(cli, "_add_family_flags", counted)
+        code, out = run(capsys, "klsum", "--family", "classical", "--p", "3", "--c", "1",
+                        "--k", "1")
+        assert code == 0 and out.startswith("family,p,k,m,n,")
+        assert calls == ["genkl klsum"]

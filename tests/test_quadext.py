@@ -1,12 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from genkl.padic import CapacityError, valuation
 from genkl.quadext import (
     EXCEEDS_PRECISION,
     QuadExtension,
+    UnitGroup,
+    _smith_normal_form,
     eta_char,
     norm_fiber,
     norm_fiber_brute,
@@ -44,6 +47,11 @@ class TestStandardExtensions:
                 from genkl.quadext import _is_square_qp
 
                 assert not _is_square_qp(ratio_sq, 2)
+
+    @pytest.mark.parametrize("p", [-3, 0, 4, 6, 9, 15])
+    def test_non_prime_rejected(self, p):
+        with pytest.raises(ValueError, match="not a prime"):
+            QuadExtension(p, 0, -2)
 
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):
@@ -176,6 +184,102 @@ class TestUnitGroup:
     def test_capacity(self, unram3):
         with pytest.raises(CapacityError):
             unit_group(unram3, 9)
+
+    def test_capacity_counts_the_pairs_mod_p_to_the_M(self):
+        # order 101^3 (1 - 1/101), but 101^4 pairs mod 101^2 to walk
+        with pytest.raises(CapacityError):
+            UnitGroup(QuadExtension(101, 0, 101), 3)
+
+
+def reference_unit_group(ext, m):
+    """(O_E/p_E^m)^* built by walking every unit of ext.units, with no
+    early exit: the raw dlog map as a dict of tuples, each canonical dlog
+    a per-element tuple sum, and the units_view arrays from the sorted
+    canonical map.  Returns (gens, orders, dlog_map, L, units_view)."""
+    p, e = ext.p, ext.e
+    M = -(-m // e)
+    pk = p**M
+    layer = [(1, t * p ** (M - 1) % pk) for t in range(p)] if e == 2 and m % 2 else [(1, 0)]
+
+    def rep(x):
+        return min(ext.mul(x, s, pk) for s in layer)
+
+    dlog_raw = {rep((1 % pk, 0)): ()}
+    raw_gens, rel_steps, rel_tails = [], [], []
+    for cand in ext.units(M):
+        cand = rep(cand)
+        if cand in dlog_raw:
+            continue
+        r, x = 1, cand
+        while x not in dlog_raw:
+            x = rep(ext.mul(x, cand, pk))
+            r += 1
+        i = len(raw_gens)
+        new = {}
+        for h, vec in dlog_raw.items():
+            padded = vec + (0,) * (i - len(vec))
+            y = h
+            for j in range(1, r):
+                y = rep(ext.mul(y, cand, pk))
+                new[y] = padded + (j,)
+        for h, vec in dlog_raw.items():
+            dlog_raw[h] = vec + (0,) * (i - len(vec))
+        dlog_raw.update(new)
+        raw_gens.append(cand)
+        rel_steps.append(r)
+        rel_tails.append(dlog_raw[x])
+    s = len(raw_gens)
+    dlog_raw = {h: vec + (0,) * (s - len(vec)) for h, vec in dlog_raw.items()}
+    R = []
+    for i in range(s):
+        row = [0] * s
+        row[i] = rel_steps[i]
+        for j, t in enumerate(rel_tails[i]):
+            row[j] -= t
+        R.append(row)
+    D, V, V_inv = _smith_normal_form(R)
+    invariants = [D[i][i] for i in range(s)]
+    keep = [i for i in range(s) if invariants[i] != 1]
+    orders = [invariants[i] for i in keep]
+    gens = []
+    for j in keep:
+        g = (1 % pk, 0)
+        for i in range(s):
+            g = rep(ext.mul(g, ext.pow(raw_gens[i], V_inv[j][i] % len(dlog_raw), pk), pk))
+        gens.append(g)
+    dlog_map = {
+        h: tuple(sum(V[i][j] * vec[i] for i in range(s)) % invariants[j] for j in keep)
+        for h, vec in dlog_raw.items()
+    }
+    L = math.lcm(*orders)
+    # units_view: each unit's class rep found in the sorted canonical map
+    a, b = np.divmod(np.arange(pk * pk, dtype=np.int64), pk)
+    unit = (a % p != 0) | ((b % p != 0) & (e == 1))
+    flat, a, b = np.flatnonzero(unit), a[unit], b[unit]
+    shifts = np.array([t for _, t in layer])[:, None]
+    rep_flat = (((a - ext.B * b * shifts) % pk) * pk + (b + (a - ext.A * b) * shifts) % pk).min(0)
+    reps = sorted(dlog_map)
+    dlog = np.array([dlog_map[u] for u in reps], dtype=np.int64).reshape(len(reps), len(orders))
+    rows = np.searchsorted([x * pk + y for x, y in reps], rep_flat)
+    weights = np.array([L // o for o in orders], dtype=np.int64)
+
+    def val(x):  # v_p of residues mod p^M, M at 0
+        return sum((x % p**j == 0).astype(np.int64) for j in range(1, M + 1))
+
+    depth = np.minimum(np.minimum(e * val((a - 1) % pk), e * val(b) + e - 1), m)
+    return gens, orders, dlog_map, L, (flat, dlog[rows] * weights, depth)
+
+
+@pytest.mark.parametrize("p, m_max", [(2, 10), (3, 6), (5, 4)])
+def test_unit_groups_equal_the_full_walk(p, m_max):
+    for ext in standard_extensions(p):
+        for m in range(1, m_max + 1):
+            G = UnitGroup(ext, m)
+            gens, orders, dlog_map, L, view = reference_unit_group(ext, m)
+            assert (G.gens, G.orders, G.L) == (gens, orders, L), (ext.label(), m)
+            assert list(G.dlog_map.items()) == list(dlog_map.items()), (ext.label(), m)
+            for got, want in zip(G.units_view, view):
+                assert got.dtype == np.int64 and np.array_equal(got, want), (ext.label(), m)
 
 
 class TestNormFiber:

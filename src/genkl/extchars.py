@@ -131,7 +131,7 @@ class ExtCharacter:
     def restrict_to_base_units(self) -> DirichletCharacter:
         """xi on Z_p^x as a Dirichlet character mod p^M."""
         p, M = self.ext.p, self.group.M
-        gens, orders, _ = unit_group_zpk(p, M)
+        gens, orders = unit_group_zpk(p, M)
         exps = [
             phase_exponent(self.unit_phase(self.group.embed_base_unit(g)), self.group.L, o)
             for g, o in zip(gens, orders)
@@ -246,7 +246,7 @@ def _restriction_test(G: UnitGroup, chi: DirichletCharacter):
     if prim.modulus_exponent > G.M:
         return None
     chi = prim.extend(G.M)
-    gens, _, _ = unit_group_zpk(G.ext.p, G.M)
+    gens, _ = unit_group_zpk(G.ext.p, G.M)
     flat, wdlog, _ = G.units_view
     rows = wdlog[np.searchsorted(flat, [g * G.pk for g in gens])]
     targets = np.array([chi.phase(g) * G.L for g in gens], dtype=np.int64).reshape(-1, 1)
@@ -417,8 +417,11 @@ def neighborhood(xi: ExtCharacter, n: int) -> list["ExtCharacter"]:
 
 @cache
 def neighborhood_index(xi: ExtCharacter, n: int, a: int, /) -> int:
-    """[xi[n] : xi[a]] = |xi[n]| / |xi[a]|."""
-    big, small = len(neighborhood(xi, n)), len(neighborhood(xi, a))
+    """[xi[n] : xi[a]] = |xi[n]| / |xi[a]|.  Every unit part takes the same
+    number of uniformizer phases, so this is the ratio of the counts of
+    unit parts of conductor <= n and <= a, from one scan."""
+    conds = _scan(xi.group, DirichletCharacter.trivial(xi.ext.p))[1]
+    big, small = int((conds <= n).sum()), int((conds <= a).sum())
     assert big % small == 0
     return big // small
 

@@ -19,7 +19,8 @@ from functools import lru_cache
 
 INF_VALUATION = math.inf
 
-# Discrete-log tables are full maps; beyond this the module refuses.
+# Discrete-log tables are arrays over every residue; beyond this the module
+# refuses.
 GROUP_CAPACITY = 10**7
 # Dihedral sums walk every pair (a, b) mod p^k; the largest walks recorded
 # are 2^26 (test suite) and 3^16 (klsum benchmark), 15x below this bound.
@@ -198,7 +199,7 @@ def gauss_sum_at_level(chi: "DirichletCharacter", k: int) -> complex:
 
 @lru_cache(maxsize=None)
 def unit_group_zpk(p: int, k: int):
-    """Generator decomposition of (Z/p^k)^* with a full dlog table.
+    """Generators and their orders for (Z/p^k)^*; dlog_rows holds the dlogs.
 
     Odd p: cyclic on one primitive root.  p = 2: trivial for k <= 1,
     <-1> for k = 2, <-1> x <5> for k >= 3.
@@ -206,44 +207,36 @@ def unit_group_zpk(p: int, k: int):
     check_capacity(p, k)
     q = p**k
     if k == 0 or (p == 2 and k == 1):
-        return (), (), {1 % q: ()}
+        return (), ()
     if p == 2:
         if k == 2:
-            return (3,), (2,), {1: (0,), 3: (1,)}
-        gens = ((q - 1) % q, 5)
-        orders = (2, 2 ** (k - 2))
-    else:
-        g = _primitive_root_mod_pk(p, k)
-        gens = (g,)
-        orders = (phi_pk(p, k),)
-    dlog: dict[int, tuple[int, ...]] = {}
-    if len(gens) == 1:
-        x = 1
-        for j in range(orders[0]):
-            dlog[x] = (j,)
-            x = x * gens[0] % q
-    else:
-        for j0 in range(orders[0]):
-            x0 = pow(gens[0], j0, q)
-            x = x0
-            for j1 in range(orders[1]):
-                dlog[x] = (j0, j1)
-                x = x * gens[1] % q
-    return gens, orders, dlog
+            return (3,), (2,)
+        return ((q - 1) % q, 5), (2, 2 ** (k - 2))
+    return (_primitive_root_mod_pk(p, k),), (phi_pk(p, k),)
 
 
 @lru_cache(maxsize=32)
 def dlog_rows(p: int, k: int):
-    """unit_group_zpk(p, k)'s dlog table as two numpy arrays: units[i] is
-    the unit whose exponent vector is the i-th in C order (the order the
-    table is built in), and rows[y] is the exponent vector of y (zero off
-    units), so rows[units] lists every exponent vector in C order."""
+    """The dlog table of (Z/p^k)^* against unit_group_zpk(p, k) as two
+    numpy arrays: units[i] is the unit whose exponent vector is the i-th in
+    C order, and rows[y] is the exponent vector of y (zero off units), so
+    rows[units] lists every exponent vector in C order."""
     import numpy as np
 
-    _, orders, dlog = unit_group_zpk(p, k)
-    units = np.fromiter(dlog, dtype=np.int64, count=len(dlog))
-    rows = np.zeros((p**k, len(orders)), dtype=np.int64)
-    rows[units] = np.array(list(dlog.values()), dtype=np.int64).reshape(len(units), len(orders))
+    gens, orders = unit_group_zpk(p, k)
+    q = p**k
+    units = np.array([1 % q], dtype=np.int64)
+    for g, o in zip(gens, orders):
+        # g^0, ..., g^(o-1) by block doubling: x[n:2n] = x[:n] g^n
+        x = np.ones(o, dtype=np.int64)
+        n = 1
+        while n < o:
+            t = min(n, o - n)
+            x[n:n + t] = x[:t] * pow(g, n, q) % q
+            n += t
+        units = (units[:, None] * x % q).ravel()
+    rows = np.zeros((q, len(orders)), dtype=np.int64)
+    rows[units] = np.indices(orders).reshape(len(orders), len(units)).T
     return units, rows
 
 
@@ -291,7 +284,7 @@ class DirichletCharacter:
     """
 
     def __init__(self, p: int, k: int, exps: tuple[int, ...]):
-        gens, orders, dlog = unit_group_zpk(p, k)
+        gens, orders = unit_group_zpk(p, k)
         if len(exps) != len(orders):
             raise ValueError("exponent vector has wrong length")
         self.p = p
@@ -303,13 +296,12 @@ class DirichletCharacter:
         self.L = math.lcm(*orders)
         # phase(n) = <weights, dlog(n)> mod L
         self._weights = tuple(x * (self.L // o) for x, o in zip(self.exps, orders))
-        self._dlog = dlog
+        self._rows = dlog_rows(p, k)[1]
         self._conductor_exponent: int | None = None
 
     @classmethod
     def trivial(cls, p: int, k: int = 0) -> "DirichletCharacter":
-        gens, orders, _ = unit_group_zpk(p, k)
-        return cls(p, k, tuple(0 for _ in orders))
+        return cls(p, k, tuple(0 for _ in unit_group_zpk(p, k)[1]))
 
     def __call__(self, n: int) -> complex:
         ph = self.phase(n)
@@ -327,10 +319,13 @@ class DirichletCharacter:
 
     def phase(self, n: int) -> int | None:
         """Exact phase of chi(n) as an integer mod L; None off units."""
-        d = self._dlog.get(n % self.modulus)
-        if d is None:
+        n %= self.modulus
+        if n % self.p == 0 and self.modulus > 1:
             return None
-        return sum(w * d_i for w, d_i in zip(self._weights, d)) % self.L
+        ph = 0
+        for i, w in enumerate(self._weights):
+            ph += w * self._rows.item(n, i)
+        return ph % self.L
 
     def is_trivial(self) -> bool:
         return all(x == 0 for x in self.exps)
@@ -338,16 +333,16 @@ class DirichletCharacter:
     def conductor_exponent(self) -> int:
         """Smallest j with chi trivial on {x = 1 mod p^j}."""
         if self._conductor_exponent is None:
+            import numpy as np
+
+            # the phase at every x = 1 mod p^(j-1), zero at the non-units
+            # among them (j = 1), whose rows are zero
+            w = np.array(self._weights, dtype=np.int64)
             j = self.modulus_exponent
-            while j > 0 and self._trivial_on_level(j - 1):
+            while j > 0 and not (self._rows[1 :: self.p ** (j - 1)] @ w % self.L).any():
                 j -= 1
             self._conductor_exponent = j
         return self._conductor_exponent
-
-    def _trivial_on_level(self, j: int) -> bool:
-        q = self.modulus
-        step = self.p**j
-        return all(self.phase(x) == 0 for x in range(1, q, step) if x % self.p != 0)
 
     @property
     def conductor(self) -> int:
@@ -394,7 +389,7 @@ class DirichletCharacter:
     def _on_level(self, k: int) -> "DirichletCharacter":
         """The same character as a character mod p^k (for k below the
         modulus exponent chi must factor through p^k)."""
-        gens, orders, _ = unit_group_zpk(self.p, k)
+        gens, orders = unit_group_zpk(self.p, k)
         exps = [phase_exponent(self.phase(g), self.L, o) for g, o in zip(gens, orders)]
         return DirichletCharacter(self.p, k, tuple(exps))
 
@@ -415,7 +410,7 @@ class DirichletCharacter:
 
 def enumerate_dirichlet(p: int, k: int) -> list[DirichletCharacter]:
     """All phi(p^k) characters mod p^k."""
-    _, orders, _ = unit_group_zpk(p, k)
+    _, orders = unit_group_zpk(p, k)
     return [
         DirichletCharacter(p, k, exps)
         for exps in itertools.product(*(range(o) for o in orders))

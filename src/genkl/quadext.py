@@ -293,8 +293,9 @@ class UnitGroup:
 
     Elements are ring pairs of O_E/p^M with M = ceil(m/e); when e = 2 and
     m is odd the group is the quotient by the extra layer U_E(2M-1), and
-    pairs are canonicalized to class representatives.  A full dlog map is
-    built once (capacity-bounded).
+    pairs are canonicalized to class representatives.  The dlogs are arrays
+    only, a row per class and the row of each flat index a p^M + b: O(p^2M)
+    int64, which the capacity check on the p^2M pairs bounds.
     """
 
     def __init__(self, ext: QuadExtension, m: int):
@@ -337,54 +338,53 @@ class UnitGroup:
     def _build(self, order: int):
         ext, pk = self.ext, self.pk
         p, bmod = ext.p, self._b_mod
-        if self._quotient_layer:
-            step = p ** (self.M - 1)
-            self._layer_subgroup = [(1, (t * step) % pk) for t in range(p)]
         # units in the fixed lexicographic order of ext.units (ascending flat
         # index a p^M + b), which keeps generator choices stable, and the
         # flat index of each one's class rep
-        flat = np.arange(pk * pk, dtype=np.int64)
-        a, b = np.divmod(flat, pk)
-        unit = (a % p != 0) | ((b % p != 0) & (ext.e == 1))
-        flat = flat[unit]
-        rep = flat - b[unit] + b[unit] % bmod
-        # the subgroup so far: the flat index of each class rep, its raw
-        # exponent row over raw_gens, and the row of each flat index (-1
-        # outside the subgroup)
+        unit_a = np.arange(pk) % p != 0
+        flat = np.flatnonzero(unit_a[:, None] | (unit_a & (ext.e == 1)))
+        rep = flat - flat % pk + flat % bmod  # bmod divides p^M
+        # the subgroup so far: the flat index of each class rep, and the row
+        # of each flat index (-1 outside the subgroup).  Over raw_gens of
+        # relative orders steps, row i is the class of the product of the
+        # g_l^(i_l), i_l the digits of i in that mixed radix, i_0 lowest
         keys = np.array([pk])  # the flat index of (1, 0)
-        raw = np.zeros((1, 0), dtype=np.int64)
         row = np.full(pk * pk, -1, dtype=np.int64)
         row[keys] = 0
         raw_gens: list[tuple[int, int]] = []
+        steps: list[int] = []
         R: list[list[int]] = []
         while len(keys) < order:
             cand = divmod(int(rep[np.argmax(row[rep] < 0)]), pk)
-            # cand^j for 0 < j < r, r the relative order of cand over the
+            # cand^j for 0 <= j < r, r the relative order of cand over the
             # subgroup: cand^r = x lies in it
-            pows, x = [], cand
+            pows, x = [(1 % pk, 0)], cand
             while row[x[0] * pk + x[1]] < 0:
                 pows.append(x)
                 x = self._class_rep(ext.mul(x, cand, pk))
-            assert pows, "closed-form order exceeds the group"
-            r = len(pows) + 1
+            assert len(pows) > 1, "closed-form order exceeds the group"
+            r = len(pows)
             # relation g_i^r = prod_{j<i} g_j^{tail_j}, as row i of R
+            tail = np.unravel_index(row[x[0] * pk + x[1]], steps[::-1])[::-1]
             for rel in R:
                 rel.append(0)
-            R.append([-t for t in raw[row[x[0] * pk + x[1]]].tolist()] + [r])
-            # the new classes h cand^j, h-major
-            ha, hb = np.divmod(keys, pk)
-            ya, yb = ext.mul((ha[:, None], hb[:, None]), np.array(pows).T, pk)
-            new = (ya * pk + yb % bmod).ravel()
+            R.append([-int(t) for t in tail] + [r])
+            # the new classes cand^j h, j-major, by block doubling: rows
+            # [f, 2f) are rows [0, f) times cand^(f/n)
             n = len(keys)
-            raw = np.hstack([raw, np.zeros((n, 1), dtype=np.int64)])
-            block = np.repeat(raw, r - 1, axis=0)
-            block[:, -1] = np.tile(np.arange(1, r), n)
-            raw = np.vstack([raw, block])
-            row[new] = np.arange(n, len(raw))
-            keys = np.concatenate([keys, new])
+            keys = np.resize(keys, n * r)
+            f = n
+            while f < n * r:
+                t = min(f, n * r - f)
+                ya, yb = ext.mul(np.divmod(keys[:t], pk), pows[f // n], pk)
+                keys[f:f + t] = ya * pk + yb % bmod
+                f += t
+            row[keys[n:]] = np.arange(n, n * r)
             raw_gens.append(cand)
+            steps.append(r)
         assert (row[rep] >= 0).all(), "closed-form order below the group"
         self.order = len(keys)
+        del rep, keys  # the dlog rows below are the largest arrays
         # G = Z^s / (row span of R); Smith form D = U R V diagonalizes the
         # relation lattice.  New generators come from rows of V^{-1} and the
         # canonical dlog is w = V^T v (mod the invariant factors).
@@ -403,39 +403,29 @@ class UnitGroup:
             gens.append(g)
         self.gens = gens
         Vk = np.array([[V[i][j] % invariants[j] for j in keep] for i in range(s)], dtype=np.int64)
-        self._dlog = raw @ Vk.reshape(s, len(keep)) % np.array(self.orders, dtype=np.int64)
-        # each unit's flat index and the row of its class, for units_view
-        self._units = flat, row[rep]
-        ka, kb = np.divmod(keys, pk)
-        self.dlog_map = dict(zip(zip(ka.tolist(), kb.tolist()), map(tuple, self._dlog.tolist())))
+        # the canonical dlog of every row, one raw generator l at a time: in
+        # the first n r rows, row j n + h is g_l^j times row h
+        mods = np.array(self.orders, dtype=np.int64)
+        dlog = np.zeros((1, len(keep)), dtype=np.int64)
+        for r, v in zip(steps, Vk.reshape(s, len(keep))):
+            dlog = (np.arange(r)[:, None, None] * v + dlog).reshape(-1, len(keep))
+            dlog %= mods
+        self._dlog, self._row = dlog, row
+        # each unit's flat index, for units_view
+        self._units = flat
         # sanity: generators reproduce their own dlog
         for j, g in enumerate(gens):
             want = tuple(int(i == j) for i in range(len(keep)))
-            assert self.dlog_map[g] == want, "generator dlog mismatch"
+            assert self.dlog(g) == want, "generator dlog mismatch"
 
     # -- queries -----------------------------------------------------------
 
     def dlog(self, x: tuple[int, int]) -> tuple[int, ...]:
-        rep = self._class_rep((x[0] % self.pk, x[1] % self.pk))
-        return self.dlog_map[rep]
-
-    def depth(self, x: tuple[int, int]) -> int:
-        """max v_E(u - 1) over the class of x, capped at m."""
-        best = 0
-        reps = (
-            [self.ext.mul(x, s, self.pk) for s in self._layer_subgroup]
-            if self._quotient_layer
-            else [x]
-        )
-        for u in reps:
-            v = self.ext.v_E((u[0] - 1, u[1]), self.M)
-            v = self.m if v == EXCEEDS_PRECISION else min(int(v), self.m)
-            best = max(best, v)
-        return best
-
-    def layer_elements(self, i: int):
-        """Class reps whose class meets U_E(i)."""
-        return [x for x in self.dlog_map if self.depth(x) >= i]
+        a, b = self._class_rep((x[0] % self.pk, x[1] % self.pk))
+        r = self._row.item(a * self.pk + b)
+        if r < 0:
+            raise ValueError(f"{x} is not a unit")
+        return tuple(self._dlog[r].tolist())
 
     def embed_base_unit(self, x: int) -> tuple[int, int]:
         return self._class_rep((x % self.pk, 0))
@@ -451,8 +441,9 @@ class UnitGroup:
         maximum over a class is the class's depth."""
         ext, pk, M = self.ext, self.pk, self.M
         p, e = ext.p, ext.e
-        flat, rows = self._units
+        flat = self._units
         a, b = np.divmod(flat, pk)
+        rows = self._row[flat - b + b % self._b_mod]
         weights = np.array([self.L // o for o in self.orders], dtype=np.int64)
 
         def val(x):  # v_p of residues mod p^M, M at 0

@@ -1,11 +1,12 @@
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from genkl.padic import DirichletCharacter, e, enumerate_dirichlet, unit_group_zpk
+from genkl.padic import DirichletCharacter, dlog_rows, e, enumerate_dirichlet, unit_group_zpk
 from genkl.quadext import standard_extensions, unit_group
 from genkl.extchars import (
     BaseRestriction,
@@ -33,6 +34,11 @@ def all_group_chars(ext, m):
         yield ExtCharacter(ext, G, exps, Fraction(0))
 
 
+def unit_pairs(G):
+    """Every unit pair mod p^M, in the order of G.units_view."""
+    return [divmod(f, G.pk) for f in G.units_view[0].tolist()]
+
+
 def fraction_phase(exps, dlog, orders) -> Fraction:
     """The phase sum(x_i d_i / o_i) mod 1 in exact fractions."""
     return sum((Fraction(x * d, o) for x, d, o in zip(exps, dlog, orders)), Fraction(0)) % 1
@@ -49,7 +55,7 @@ class TestPhaseFormat:
         if ext.e == 2:
             assert G._quotient_layer  # odd m: classes mod the extra layer
         for xi in all_group_chars(ext, m):
-            for u in G.dlog_map:
+            for u in unit_pairs(G):
                 want = fraction_phase(xi.exps, G.dlog(u), G.orders)
                 got = xi.unit_phase(u)
                 assert type(got) is int and 0 <= got < G.L
@@ -58,14 +64,18 @@ class TestPhaseFormat:
 
     @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 5), (3, 3), (5, 2)])
     def test_dirichlet_phase(self, p, k):
-        _, orders, dlog = unit_group_zpk(p, k)
+        gens, orders = unit_group_zpk(p, k)
+        units, rows = dlog_rows(p, k)
+        assert sorted(units.tolist()) == [n for n in range(p**k) if n % p]
+        for n in units.tolist():
+            assert math.prod(pow(g, d, p**k) for g, d in zip(gens, rows[n].tolist())) % p**k == n
         for chi in enumerate_dirichlet(p, k):
             for n in range(p**k):
                 got = chi.phase(n)
-                if n not in dlog:
+                if n % p == 0:
                     assert got is None and chi(n) == 0
                     continue
-                want = fraction_phase(chi.exps, dlog[n], orders)
+                want = fraction_phase(chi.exps, rows[n].tolist(), orders)
                 assert type(got) is int and 0 <= got < chi.L
                 assert Fraction(got, chi.L) == want
                 assert chi(n) == e(want.numerator, want.denominator)
@@ -75,9 +85,9 @@ class TestPhaseFormat:
         ext = standard_extensions(5)[2]
         assert (ext.e, ext.B) == (2, 10)
         G = unit_group(ext, 2)
-        _, orders, dlog = unit_group_zpk(5, 1)
+        orders, rows = unit_group_zpk(5, 1)[1], dlog_rows(5, 1)[1]
         for chi in enumerate_dirichlet(5, 1):
-            want = fraction_phase(chi.exps, dlog[2], orders)
+            want = fraction_phase(chi.exps, rows[2].tolist(), orders)
             assert compose_with_norm(chi, ext, G).unif_phase == want
         # 2 generates (Z/5)^*, so the order-4 character takes 2 to e(1/4)
         chi = DirichletCharacter(5, 1, (1,))
@@ -87,13 +97,15 @@ class TestPhaseFormat:
 class TestConductor:
     @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (2, 3)])
     def test_direct_scan_matches(self, p, m):
-        # conductor recomputed by triviality scan over U_E(j) layer sets
+        # conductor recomputed by triviality scan over U_E(j) layer sets: a
+        # class meets U_E(j) iff one of its units has depth >= j
         for ext in standard_extensions(p)[:2]:
             G = unit_group(ext, m)
+            _, _, depth = G.units_view
             for xi in list(all_group_chars(ext, m))[:40]:
                 c = xi.conductor()
                 for j in range(0, G.m + 1):
-                    layer = G.layer_elements(j)
+                    layer = [u for u, d in zip(unit_pairs(G), depth.tolist()) if d >= j]
                     trivial = all(xi.unit_phase(u) == 0 for u in layer)
                     assert trivial == (j >= c)
 
@@ -155,7 +167,7 @@ class TestEnumerate:
         # xi(u) xi(u^sigma) = xi(Nm u) with Nm u embedded in the base
         for xi in (xi_unram3_c1, xi_ram3_c2):
             G = xi.group
-            for u in list(G.dlog_map)[:60]:
+            for u in unit_pairs(G)[:60]:
                 lhs = xi.unit_phase(u) + xi.unit_phase(xi.ext.conj(u, G.pk))
                 nrm = xi.ext.norm(u, G.pk)
                 rhs = xi.unit_phase(G.embed_base_unit(nrm))
@@ -249,6 +261,16 @@ class TestNeighborhood:
 
     def test_index(self, xi_ram3_c2):
         assert neighborhood_index(xi_ram3_c2, 2, 0) == 3
+
+    @pytest.mark.parametrize("p,which", [(p, w) for p in (2, 3, 5) for w in range(len(standard_extensions(p)))])
+    def test_index_is_the_ratio_of_sizes(self, p, which):
+        ext = standard_extensions(p)[which]
+        xi = enumerate_xi(ext, seed_conductors(ext)[-1], eta_restriction(ext), regular_only=True)[0]
+        top = max(xi.conductor(), xi.group.m)
+        sizes = [len(neighborhood(xi, n)) for n in range(top + 1)]
+        for n in range(top + 1):
+            for a in range(n + 1):
+                assert neighborhood_index(xi, n, a) == sizes[n] // sizes[a]
 
     def test_members_share_restriction_and_ball(self, xi_unram3_c1):
         xi = xi_unram3_c1.at_precision(2)
@@ -351,11 +373,12 @@ GROUPS = [
 
 @functools.cache
 def _class_table(G):
-    """dlog rows and depths of one representative per class, the layout
-    the per-character conductor read."""
-    els = sorted(G.dlog_map)
-    dlog = np.array([G.dlog_map[u] for u in els], dtype=np.int64)
-    return dlog.reshape(len(els), len(G.orders)), np.array([G.depth(u) for u in els])
+    """The dlog row and v_E(u - 1), capped at m, of every unit u: a class's
+    depth is the largest over its units, the layer the conductor reads."""
+    els = unit_pairs(G)
+    dlog = np.array([G.dlog(u) for u in els], dtype=np.int64)
+    depth = [min(G.ext.v_E(((a - 1) % G.pk, b), G.M), G.m) for a, b in els]
+    return dlog.reshape(len(els), len(G.orders)), np.array(depth)
 
 
 def old_conductor(xi):
@@ -373,7 +396,7 @@ def old_scan(G, chi):
     if prim.modulus_exponent > G.M:
         return []
     chi = prim.extend(G.M)
-    gens, _, _ = unit_group_zpk(G.ext.p, G.M)
+    gens, _ = unit_group_zpk(G.ext.p, G.M)
     out = []
     for exps in itertools.product(*(range(o) for o in G.orders)):
         probe = ExtCharacter(G.ext, G, exps, Fraction(0))

@@ -1,10 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from genkl.padic import CapacityError, valuation
+from genkl.padic import CapacityError, phi_pk, unit_group_zpk, valuation
 from genkl.quadext import (
     EXCEEDS_PRECISION,
     QuadExtension,
@@ -167,7 +168,7 @@ class TestUnitGroup:
     def test_dlog_is_homomorphism(self, unram3):
         G = unit_group(unram3, 2)
         rng = random.Random(0)
-        els = list(G.dlog_map)
+        els = [divmod(int(f), G.pk) for f in G.units_view[0]]
         for _ in range(150):
             x, y = rng.choice(els), rng.choice(els)
             z = unram3.mul(x, y, G.pk)
@@ -175,6 +176,11 @@ class TestUnitGroup:
                 (a + b) % o for a, b, o in zip(G.dlog(x), G.dlog(y), G.orders)
             )
             assert G.dlog(z) == want
+
+    def test_dlog_refuses_non_units(self, unram3, ram3):
+        for ext, x in ((unram3, (3, 6)), (ram3, (0, 1))):
+            with pytest.raises(ValueError):
+                unit_group(ext, 2).dlog(x)
 
     def test_quotient_layer_odd_m(self, ram3):
         # (O_E/p_E^3)^x: order 18 = q^3 (1 - 1/q) with q = 3
@@ -189,6 +195,29 @@ class TestUnitGroup:
         # order 101^3 (1 - 1/101), but 101^4 pairs mod 101^2 to walk
         with pytest.raises(CapacityError):
             UnitGroup(QuadExtension(101, 0, 101), 3)
+
+    def test_build_memory_is_the_dlog_arrays(self):
+        # order 786432 on three generators: the dlog rows are 18.9 MB and
+        # the flat-index rows 8.4 MB; a per-unit dict of tuples traced 450 MB
+        tracemalloc.start()
+        try:
+            UnitGroup(standard_extensions(2)[0], 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 2**20
+
+    @pytest.mark.parametrize("p, which, m", [(2, 0, 6), (2, 3, 7), (3, 0, 3), (3, 2, 5), (5, 1, 4)])
+    def test_no_per_unit_python_containers(self, p, which, m):
+        # the dlogs live in arrays; a dict or list over the units would
+        # cost hundreds of bytes a unit
+        G = UnitGroup(standard_extensions(p)[which], m)
+        G.units_view  # cached into vars(G)
+        big = [name for name, v in vars(G).items() if isinstance(v, (dict, list)) and len(v) >= G.order]
+        assert not big
+        for k in range(m + 1):
+            zpk = unit_group_zpk(p, k)
+            assert not [v for v in zpk if isinstance(v, (dict, list)) and len(v) >= phi_pk(p, k)]
 
 
 def reference_unit_group(ext, m):
@@ -275,9 +304,8 @@ def test_unit_groups_equal_the_full_walk(p, m_max):
     for ext in standard_extensions(p):
         for m in range(1, m_max + 1):
             G = UnitGroup(ext, m)
-            gens, orders, dlog_map, L, view = reference_unit_group(ext, m)
+            gens, orders, _, L, view = reference_unit_group(ext, m)
             assert (G.gens, G.orders, G.L) == (gens, orders, L), (ext.label(), m)
-            assert list(G.dlog_map.items()) == list(dlog_map.items()), (ext.label(), m)
             for got, want in zip(G.units_view, view):
                 assert got.dtype == np.int64 and np.array_equal(got, want), (ext.label(), m)
 

@@ -8,7 +8,9 @@ oracles, and the bound reports.
 Closed forms are authoritative; the brute-force oracles (I_xi by fiber
 enumeration, R by direct integration, Mellin by finite Fourier) provide
 the independent verification paths.  All heavy sums run through
-genkl.kernels.
+genkl.kernels.  Every production S(m,n;p^k) reads the cached FFT vectors
+S(t,1;p^j) through Selberg's identity (_S_prime_power); classical_S and
+classical_S_many, over the E F^T kernel, are the definitional reference.
 
 Each Mellin job has one route: per (family, k) the direct transform is
 one FFT of h_local_vector and the closed form one array over every
@@ -67,10 +69,10 @@ from .families import (
 # Classical sums, cached per modulus
 
 
-# Moduli are prime powers, bar classical_S_many at a composite c.  The
-# bound holds the 423 distinct moduli of the test suite (hit ratio 0.994,
-# as unbounded) and the 333 prime powers of an H table at c <= 2000
-# (about 5 MB of arrays)
+# Moduli are prime powers, bar the reference classical_S_many at a
+# composite c.  The bound holds the 423 distinct moduli of the test suite
+# (hit ratio 0.994, as unbounded) and the 333 prime powers of an H table
+# at c <= 2000 (about 5 MB of arrays)
 @lru_cache(maxsize=512)
 def _unit_inverses(c: int):
     return kernels.unit_inverses(c)
@@ -83,7 +85,8 @@ def classical_S(m: int, n: int, c: int) -> complex:
 
 def classical_S_many(ms, ns, c: int) -> np.ndarray:
     """S(m_i,n_i;c) for parallel arrays of m and n at one modulus c, by the
-    E F^T kernel.  S(t,1;p^k) at every t is one FFT: _classical_S_vector."""
+    E F^T kernel: the definitional reference.  Production sums at a prime
+    power read the FFT vectors instead: _S_prime_power."""
     if c < 1:
         raise ValueError("c must be >= 1")
     return kernels.kloosterman_many(_residues(ms, c), _residues(ns, c), c, *_unit_inverses(c))
@@ -105,6 +108,26 @@ def _residues(xs, c: int) -> np.ndarray:
 def _classical_S_vector(p: int, k: int) -> np.ndarray:
     """S(y,1;p^k) for every y mod p^k via one FFT."""
     return _twisted_S_vector(p, k, None)
+
+
+def _S_prime_power(p: int, k: int, ms, ns, ws=(1,)) -> np.ndarray:
+    """S(m_j, w_i n_j; p^k), one row per unit w_i, by Selberg's identity
+    S(m,n;p^k) = sum over p^j | (m,n,p^k) of p^j S(mn/p^2j, 1; p^(k-j)):
+    each term is one read of a cached vector, and term j is read only at
+    the columns with p^j | gcd(m,n)."""
+    q = p**k
+    m, n = _residues(ms, q), _residues(ns, q)
+    ws = np.asarray(ws, dtype=np.int64)[:, None]
+    out = _classical_S_vector(p, k)[ws * (m * n % q) % q]
+    cols = np.arange(len(m))
+    for j in range(1, k + 1):
+        cols = cols[(m[cols] % p**j == 0) & (n[cols] % p**j == 0)]
+        if not len(cols):
+            break
+        r = p ** (k - j)
+        mn = (m[cols] // p**j) * (n[cols] // p**j) % r
+        out[:, cols] += p**j * _classical_S_vector(p, k - j)[ws % r * mn % r]
+    return out
 
 
 def _twisted_S_vector(p: int, k: int, psi: DirichletCharacter | None) -> np.ndarray:
@@ -212,7 +235,7 @@ def _langlands_gamma(ext: QuadExtension, xi: ExtCharacter | None, /) -> complex:
         for t in order[:64]:
             if mags[t] < 1e-6:
                 break
-            S = classical_S(int(t), 1, ext.p**k)
+            S = _classical_S_vector(ext.p, k)[t]
             if abs(S) > 1e-6:
                 solved = (S * ext.p ** (ext.d / 2) / (eta_p**k * vec[t])).conjugate()
                 return _nearest_fourth_root(solved)
@@ -335,9 +358,9 @@ def h_local_many(tf: LocalTestFunction, ms, ns, k: int) -> tuple[np.ndarray, lis
     with one vanishing reason (or None) per entry.  Zero below k_p.  m and
     n are reduced mod p^max(k, 1), which keeps whether p | mn, and mn is
     split into units and non-units by array operations.  A unit mn reads
-    entry mn of h_local_vector (H(m,n) = H(mn,1) for a unit n); only the
-    entries with p | mn go through Python: the classical sum, Nelson's
-    Moebius sum, or zero for the newform projectors."""
+    entry mn of h_local_vector (H(m,n) = H(mn,1) for a unit n); the
+    entries with p | mn take the classical sum, Nelson's Moebius sum (both
+    by _S_prime_power), or zero for the newform projectors."""
     check_capacity(tf.p, k)
     if len(ms) != len(ns):
         raise ValueError("ms and ns must have the same length")
@@ -352,13 +375,13 @@ def h_local_many(tf: LocalTestFunction, ms, ns, k: int) -> tuple[np.ndarray, lis
     unit = mn % p != 0
     vals[unit] = h_local_vector(tf, k)[mn[unit] % pk]
     reasons = [None] * len(ms)
-    for i in np.flatnonzero(~unit).tolist():
-        m, n = int(m_red[i]), int(n_red[i])
-        if isinstance(tf, Classical):
-            vals[i] = float(tf.delta_p()) * classical_S(m, n, pk)
-        elif isinstance(tf, NelsonEq):
-            vals[i] = _nelson_value(tf, m, n, k)
-        else:
+    rest = np.flatnonzero(~unit)
+    if isinstance(tf, Classical):
+        vals[rest] = float(tf.delta_p()) * _S_prime_power(p, k, m_red[rest], n_red[rest])[0]
+    elif isinstance(tf, NelsonEq):
+        vals[rest] = _nelson_values(tf, m_red[rest], n_red[rest], k)
+    else:
+        for i in rest.tolist():
             reasons[i] = "non-unit-mn"
     return vals, reasons
 
@@ -387,32 +410,17 @@ def _neighborhood_I_sum(xi: ExtCharacter, n: int, a: int, k: int) -> np.ndarray:
     return vec
 
 
-# Not memoized: no CLI command asks for a key twice (a `klsum --grid mn`
-# of 207 points and a `bounds` table of 108 make 207 and 108 distinct
-# lookups), and the test suite's 8,974 lookups replayed through an LRU hit
-# 0.12 of the time at 512 entries, 0.35 unbounded.
-def _nelson_value(tf: NelsonEq, m: int, n: int, k: int) -> complex:
-    """The double Moebius sum over d | (m,n,p^c) and e | p^c."""
+def _nelson_values(tf: NelsonEq, ms: np.ndarray, ns: np.ndarray, k: int) -> np.ndarray:
+    """The double Moebius sum over d | (m,n,p^c) and e | p^c at residues m,
+    n mod p^k, k >= c - 1: the d = 1 terms are _classical_scale times
+    S(m,n;p^k), the d = p terms -p^2 times the same two e-terms at (c-1,
+    k-1) times S(m/p,n/p;p^(k-1))."""
     p, c = tf.p, tf.c
-    total = 0j
-    for vd in (0, 1):
-        if vd and (m % p or n % p or k == 0):
-            continue
-        d = p**vd
-        mu_d = 1 - 2 * vd
-        for ve in (0, 1):
-            mu_e = 1 - 2 * ve
-            r_exp = k - vd
-            if r_exp < 0 or (c - vd - ve) > r_exp:
-                continue
-            total += (
-                mu_d
-                * d**2
-                * mu_e
-                * nu(p ** (c - vd - ve))
-                * classical_S(m // d, n // d, p**r_exp)
-            )
-    return total
+    out = _classical_scale(tf, k) * _S_prime_power(p, k, ms, ns)[0]
+    cols = np.flatnonzero((ms % p == 0) & (ns % p == 0))
+    scale = (nu(p ** (c - 1)) if k >= c else 0) - nu(p ** (c - 2))
+    out[cols] -= p * p * scale * _S_prime_power(p, k - 1, ms[cols] // p, ns[cols] // p)[0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +489,12 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
     Write c = c_0 c_N with c_N the part of c at the ramified primes.  By
     twisted multiplicativity H(m,n;c) is the product over q^e || c_0 of
     S(m sbar, n sbar; q^e), s = c/q^e, times prod_{p|N} H_p(m cbar_0,
-    n cbar_0; p^{v_p(c)}).  For q not dividing gcd(m,n) the factor at q is
-    S(mn sbar^2, 1; q^e), one entry of the cached FFT vector
-    _classical_S_vector(q, e); for q | gcd(m,n) it is S(m, n sbar^2; q^e),
-    one classical_S_many call per prime power.  The factors at a ramified p
-    are one h_local_many call per v = v_p(c) over the rows with that v and
-    every pair.  Zero whenever c misses the geometric conductor.
+    n cbar_0; p^{v_p(c)}).  The factor at q is S(m, n sbar^2; q^e), one
+    _S_prime_power call per prime power over the rows with that q^e: one
+    read of the cached FFT vector _classical_S_vector(q, e) per entry, and
+    one more per q^j | gcd(m,n).  The factors at a ramified p are one
+    h_local_many call per v = v_p(c) over the rows with that v and every
+    pair.  Zero whenever c misses the geometric conductor.
     """
     check_table_capacity(len(cs), len(ms))
     cs = np.asarray(cs, dtype=np.int64)
@@ -501,17 +509,7 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
         qe = q**e
         xs, xinvs = _unit_inverses(qe)
         sbar = xinvs[np.searchsorted(xs, cs[rows] // qe % qe)]
-        sbar2 = sbar * sbar % qe
-        m_q, n_q = _residues(ms, qe), _residues(ns, qe)
-        common = (m_q % q == 0) & (n_q % q == 0)
-        cols = np.flatnonzero(~common)
-        mn = m_q[cols] * n_q[cols] % qe
-        table[np.ix_(rows, cols)] *= _classical_S_vector(q, e)[np.multiply.outer(sbar2, mn) % qe]
-        cols = np.flatnonzero(common)
-        if len(cols):
-            n2 = np.multiply.outer(sbar2, n_q[cols]) % qe
-            m2 = np.broadcast_to(m_q[cols], n2.shape)
-            table[np.ix_(rows, cols)] *= classical_S_many(m2.ravel(), n2.ravel(), qe).reshape(n2.shape)
+        table[rows] *= _S_prime_power(q, e, ms, ns, sbar * sbar % qe)
     for tf in gtf.locals:
         p = tf.p
         vs = np.array([valuation(c // c_0, p) for c, c_0 in zip(cs.tolist(), c0.tolist())])

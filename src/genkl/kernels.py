@@ -1,6 +1,10 @@
 """The hot kernels, in numpy: unit inverses, batched classical Kloosterman
 sums and the norm-bucketed dihedral sums.
 
+The Kloosterman kernel is the definitional reference: engine reads every
+production S(m,n;p^k) from its cached FFT vectors, and only the reference
+engine.classical_S_many calls kloosterman_many.
+
 The dihedral sums never walk the p^(2k) pairs (a, b) mod p^k.  Each unit
 class mod p^M is lifted as a = x + p^M i, b = y + p^M j; after the change
 of variable a' = a - (A/2) b for even A, the norm of a lift is separable in
@@ -84,7 +88,8 @@ def unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kloosterman_many(ms, ns, c: int, xs, xinvs) -> np.ndarray:
-    """S(m_i, n_i; c) for parallel arrays of m and n at one modulus c.
+    """S(m_i, n_i; c) for parallel arrays of m and n at one modulus c: the
+    reference route, behind engine.classical_S_many.
 
     Over the distinct m and n this is the matrix product S = E F^T with
     E[m, x] = e(mx/c) and F[n, x] = e(n xbar/c), built in row blocks.

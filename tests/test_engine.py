@@ -10,6 +10,7 @@ from genkl.padic import (
     DirichletCharacter,
     enumerate_dirichlet,
     gauss_sum_at_level,
+    nu,
     valuation,
 )
 from genkl.quadext import standard_extensions
@@ -69,6 +70,21 @@ def make_ps(p, c):
         if c_.is_primitive() and c_.order() > 2
     )
     return PrincipalSeries(chi)
+
+
+def nelson_reference(tf, m, n, k):
+    """Nelson's H_p(m,n;p^k) written out from classical_S: the e | p^c
+    terms plus the d = p Moebius term."""
+    p, c = tf.p, tf.c
+    total = 0
+    for ve in (0, 1):
+        if k < c - ve:
+            continue
+        term = nu(p ** (c - ve)) * classical_S(m, n, p**k)
+        if m % p == 0 and n % p == 0:
+            term -= p**2 * nu(p ** (c - 1 - ve)) * classical_S(m // p, n // p, p ** (k - 1))
+        total += (-1) ** ve * term
+    return total
 
 
 ALL_SMALL_FAMILIES = [
@@ -188,16 +204,15 @@ class TestHLocal:
         ids=["classical", "nelson", "classical-p2", "classical-p5"],
     )
     def test_unit_points_read_the_vector(self, tf, k):
-        # unit mn reads h_local_vector; the sums below are the per-point route
-        from genkl.engine import _nelson_value
-
+        # unit mn reads h_local_vector; the sums below are written out from
+        # classical_S
         p = tf.p
         pk = p**k
 
         def want(m, n):
             if isinstance(tf, Classical):
                 return float(tf.delta_p()) * classical_S(m, n, pk) if k >= tf.c else 0
-            return _nelson_value(tf, m, n, k) if k >= tf.c - 1 else 0
+            return nelson_reference(tf, m, n, k)
 
         for m, n in [(t, 1) for t in range(pk) if t % p] + [(7, 5), (3, 6), (2, 4), (5, 10)]:
             assert abs(h_local(tf, m, n, k).value - want(m, n)) < 1e-9
@@ -271,8 +286,6 @@ class TestHLocal:
     def test_nelson_vanishing_and_values(self):
         tf = NelsonEq(3, 3)
         assert h_local(tf, 1, 1, 1).vanishing_reason == "below-k_p"
-        from genkl.padic import nu
-
         # k = c - 1: only the e = p term survives, scale -nu(p^{c-1})
         v = h_local(tf, 1, 1, 2).value
         assert abs(v + nu(9) * classical_S(1, 1, 9)) < 1e-10
@@ -472,10 +485,8 @@ class TestHGlobal:
     def test_table_nelson_factor(self, monkeypatch):
         # a Nelson factor at p = 3, mostly at pairs with 3 | gcd(m, n): every
         # row against twisted multiplicativity, with the local factor
-        # written out from classical_S (the e | p^c terms plus the d = p
-        # Moebius term), and no h_local call on either side
-        from genkl.padic import nu
-
+        # written out from classical_S (nelson_reference), and no h_local
+        # call on either side
         def no_call(*args):
             raise AssertionError("h_local called")
 
@@ -493,15 +504,7 @@ class TestHGlobal:
             cbar_N, cbar_0 = pow(cN, -1, c0), pow(c0, -1, p * cN)
             want = []
             for m, n in pairs:
-                m1, n1 = m * cbar_0, n * cbar_0
-                local = 0
-                for ve in (0, 1):
-                    if v < c - ve:
-                        continue
-                    term = nu(p ** (c - ve)) * classical_S(m1, n1, p**v)
-                    if m % p == 0 and n % p == 0:
-                        term -= p**2 * nu(p ** (c - 1 - ve)) * classical_S(m1 // p, n1 // p, p ** (v - 1))
-                    local += (-1) ** ve * term
+                local = nelson_reference(NelsonEq(p, c), m * cbar_0, n * cbar_0, v)
                 want.append(classical_S(cbar_N * m, cbar_N * n, c0) * local)
             assert np.allclose(row, want, rtol=1e-12, atol=1e-9), cc
 
@@ -535,11 +538,14 @@ class TestHGlobal:
 
     def test_huge_m_equals_its_residue(self):
         # m beyond int64, at an unramified prime (7) and the ramified one (3);
-        # 7 | gcd(m, n) at c = 63 takes the classical_S_many columns
+        # 7 | gcd(m, n) at c = 63 and 49 | gcd(m, n) at c = 1029 add
+        # Selberg's terms at 7
         gtf = GlobalTestFunction((Classical(3, 1),))
         m = 10**30 + 7
         assert h_global(gtf, m, 1, 21) == h_global(gtf, m % 21, 1, 21)
         assert h_global(gtf, 7 * m, 14, 63) == h_global(gtf, 7 * m % 63, 14, 63)
+        assert h_global(gtf, 49 * m, 98, 1029) == h_global(gtf, 49 * m % 1029, 98, 1029)
+        assert abs(h_global(gtf, 49 * m, 98, 1029)) > 1
 
     def test_periodicity_global(self):
         gtf = GlobalTestFunction((make_sc(3, 0),))
@@ -547,6 +553,42 @@ class TestHGlobal:
             a = h_global(gtf, 2, 5, c)
             b = h_global(gtf, 2 + c, 5, c)
             assert abs(a - b) < 1e-9
+
+
+class TestOneRoute:
+    def test_production_S_skips_the_kernel(self, monkeypatch):
+        # every production S(m,n;p^k) reads the prime-power vectors; the
+        # E F^T kernel behind classical_S is the reference only, so the
+        # references are taken before the kernel is made to raise
+        pairs = [(7, 14), (49, 7), (14, 98), (0, 0), (0, 21), (3, 9), (9, 18), (8, 4), (1, 1), (2, 5)]
+        ms, ns = np.array(pairs).T
+        cs = [21, 49, 63, 98, 343, 441, 216, 2 * 3 * 5 * 7]
+        want_global = [[classical_S(m, n, c) for m, n in pairs] for c in cs]
+        local_cases = [(Classical(3, 2), 3), (NelsonEq(3, 3), 2), (NelsonEq(3, 3), 3), (NelsonEq(2, 4), 4)]
+        local_pairs = [
+            [(m, n) for m in (0, p, p**2, p**k, 3 * p**k, 1, 2) for n in (0, 1, p, p**2, p**k)]
+            for p, k in ((tf.p, k) for tf, k in local_cases)
+        ]
+        want_local = [
+            [float(tf.delta_p()) * classical_S(m, n, tf.p**k) if isinstance(tf, Classical)
+             else nelson_reference(tf, m, n, k) for m, n in ps]
+            for (tf, k), ps in zip(local_cases, local_pairs)
+        ]
+        ext = standard_extensions(3)[1]
+        want_gamma = langlands_gamma_eps(ext)
+
+        def no_kernel(*args):
+            raise AssertionError("kloosterman_many called")
+
+        monkeypatch.setattr(engine.kernels, "kloosterman_many", no_kernel)
+        engine._langlands_gamma.cache_clear()
+        got = h_global_table(GlobalTestFunction(()), ms, ns, cs)
+        assert np.abs(got - np.array(want_global)).max() < 1e-10
+        for (tf, k), ps, want in zip(local_cases, local_pairs, want_local):
+            vals, reasons = h_local_many(tf, [m for m, _ in ps], [n for _, n in ps], k)
+            assert reasons == [None] * len(ps)
+            assert np.abs(vals - np.array(want)).max() < 1e-9
+        assert abs(langlands_gamma(ext) - want_gamma) < 1e-8
 
 
 class TestMellin:

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genkl.engine import classical_S, classical_S_many
+from genkl.engine import GlobalTestFunction, classical_S, classical_S_many, h_global_many
 from genkl.padic import (
     DirichletCharacter,
     INF_VALUATION,
@@ -111,27 +111,30 @@ class TestKloosterman:
 
     def test_brute_grid(self):
         # every prime power p^k with p <= 7, k <= 3, all m, n mod p^k;
-        # the oracle builds the e(j/c) table directly
+        # the oracle builds the e(j/c) table directly.  Two routes: the
+        # reference classical_S / classical_S_many over the E F^T kernel,
+        # and h_global_many with no ramified factor, which reads the
+        # prime-power vectors through Selberg's identity
         import numpy as np
 
         for p in (2, 3, 5, 7):
             for k in (1, 2, 3):
                 c = p**k
+                ms, ns = (g.ravel() for g in np.meshgrid(np.arange(c), np.arange(c), indexing="ij"))
                 if c <= 27:
-                    for m in range(c):
-                        for n in range(c):
-                            got = classical_S(m, n, c)
-                            assert abs(got - brute_kloosterman(m, n, c)) < 1e-12
-                    continue
-                table = np.exp(2j * np.pi * np.arange(c) / c)
-                xs = np.array([x for x in range(1, c) if math.gcd(x, c) == 1])
-                xinvs = np.array([pow(int(x), -1, c) for x in xs])
-                ms, ns = np.meshgrid(np.arange(c), np.arange(c), indexing="ij")
-                got = classical_S_many(ms.ravel(), ns.ravel(), c)
-                oracle = np.zeros(c * c, dtype=np.complex128)
-                for x, xb in zip(xs, xinvs):
-                    oracle += table[(ms.ravel() * x + ns.ravel() * xb) % c]
-                assert np.abs(got - oracle).max() < 1e-12
+                    pairs = list(zip(ms.tolist(), ns.tolist()))
+                    oracle = np.array([brute_kloosterman(m, n, c) for m, n in pairs])
+                    reference = np.array([classical_S(m, n, c) for m, n in pairs])
+                else:
+                    table = np.exp(2j * np.pi * np.arange(c) / c)
+                    xs = np.array([x for x in range(1, c) if math.gcd(x, c) == 1])
+                    xinvs = np.array([pow(int(x), -1, c) for x in xs])
+                    oracle = np.zeros(c * c, dtype=np.complex128)
+                    for x, xb in zip(xs, xinvs):
+                        oracle += table[(ms * x + ns * xb) % c]
+                    reference = classical_S_many(ms, ns, c)
+                for got in (reference, h_global_many(GlobalTestFunction(()), ms, ns, c)):
+                    assert np.abs(got - oracle).max() < 1e-12, c
 
     @given(st.integers(0, 1000), st.integers(0, 1000),
            st.sampled_from([4, 9, 27, 25, 8]))

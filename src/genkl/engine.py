@@ -8,9 +8,11 @@ oracles, and the bound reports.
 Closed forms are authoritative; the brute-force oracles (I_xi by fiber
 enumeration, R by direct integration, Mellin by finite Fourier) provide
 the independent verification paths.  All heavy sums run through
-genkl.kernels.  Every production S(m,n;p^k) reads the cached FFT vectors
-S(t,1;p^j) through Selberg's identity (_S_prime_power); classical_S and
-classical_S_many, over the E F^T kernel, are the definitional reference.
+genkl.kernels.  Every production S(m,n;p^k) reads the FFT vectors
+S(t,1;p^j) through Selberg's identity (_S_prime_power): the local sums
+from the cached vectors, h_global_table from vectors it builds and drops
+one prime at a time.  classical_S and classical_S_many, over the E F^T
+kernel, are the definitional reference.
 
 Each Mellin job has one route: per (family, k) the direct transform is
 one FFT of h_local_vector and the closed form one array over every
@@ -69,11 +71,11 @@ from .families import (
 # Classical sums, cached per modulus
 
 
-# Moduli are prime powers, bar the reference classical_S_many at a
-# composite c.  The bound holds the 423 distinct moduli of the test suite
-# (hit ratio 0.994, as unbounded) and the 333 prime powers of an H table
-# at c <= 2000 (about 5 MB of arrays)
-@lru_cache(maxsize=512)
+# Read by the reference classical_S_many only; the vector builders and
+# h_global_table keep no inverse table.  Replayed over the test suite's
+# 19,954 lookups of 307 moduli, 64 entries hit 0.983 (0.985 unbounded)
+# and hold at most 0.2 MB
+@lru_cache(maxsize=64)
 def _unit_inverses(c: int):
     return kernels.unit_inverses(c)
 
@@ -101,24 +103,25 @@ def _residues(xs, c: int) -> np.ndarray:
         return np.array([x % c for x in xs], dtype=np.int64)
 
 
-# holds the 333 prime powers of an H table at c <= 2000 (about 5 MB), so a
-# second table reuses them; the test suite's 203 distinct keys hit 0.986
-# of its lookups, as unbounded (0.816 at 64 entries)
-@lru_cache(maxsize=512)
+# read by h_local_many, h_local_vector and _langlands_gamma, one key per
+# (p, k) of a local table; h_global_table builds its own vectors and holds
+# them one prime at a time.  The test suite's 85,758 lookups of 35 keys hit
+# 0.9996 at 64 entries, as unbounded, and the 35 vectors take 0.55 MB
+@lru_cache(maxsize=64)
 def _classical_S_vector(p: int, k: int) -> np.ndarray:
     """S(y,1;p^k) for every y mod p^k via one FFT."""
     return _twisted_S_vector(p, k, None)
 
 
-def _S_prime_power(p: int, k: int, ms, ns, ws=(1,)) -> np.ndarray:
+def _S_prime_power(p: int, k: int, ms, ns, ws=(1,), vector=_classical_S_vector) -> np.ndarray:
     """S(m_j, w_i n_j; p^k), one row per unit w_i, by Selberg's identity
     S(m,n;p^k) = sum over p^j | (m,n,p^k) of p^j S(mn/p^2j, 1; p^(k-j)):
-    each term is one read of a cached vector, and term j is read only at
-    the columns with p^j | gcd(m,n)."""
+    each term is one read of the vector vector(p, k - j), and term j is
+    read only at the columns with p^j | gcd(m,n)."""
     q = p**k
     m, n = _residues(ms, q), _residues(ns, q)
     ws = np.asarray(ws, dtype=np.int64)[:, None]
-    out = _classical_S_vector(p, k)[ws * (m * n % q) % q]
+    out = vector(p, k)[ws * (m * n % q) % q]
     cols = np.arange(len(m))
     for j in range(1, k + 1):
         cols = cols[(m[cols] % p**j == 0) & (n[cols] % p**j == 0)]
@@ -126,7 +129,7 @@ def _S_prime_power(p: int, k: int, ms, ns, ws=(1,)) -> np.ndarray:
             break
         r = p ** (k - j)
         mn = (m[cols] // p**j) * (n[cols] // p**j) % r
-        out[:, cols] += p**j * _classical_S_vector(p, k - j)[ws % r * mn % r]
+        out[:, cols] += p**j * vector(p, k - j)[ws % r * mn % r]
     return out
 
 
@@ -138,7 +141,7 @@ def _twisted_S_vector(p: int, k: int, psi: DirichletCharacter | None) -> np.ndar
     q = p**k
     if q == 1:
         return np.ones(1, dtype=np.complex128)
-    ws, wbars = _unit_inverses(q)
+    ws, wbars = kernels.unit_inverses(q)
     h = np.zeros(q, dtype=np.complex128)
     h[ws] = np.exp(2j * np.pi * wbars / q)
     if psi is not None:
@@ -301,7 +304,7 @@ def h_local_vector(tf: LocalTestFunction, k: int) -> np.ndarray:
         chi = _at_level(tf.chi, k)
         chi2 = chi * chi
         tvec = _twisted_S_vector(p, k, chi2)
-        units = _unit_inverses(pk)[0]
+        units = np.flatnonzero(np.arange(pk) % p)
         chibar = chi.values()[units].conjugate()
         vec[units] = float(tf.delta_p()) * chibar * tvec[units]
     elif isinstance(tf, Supercuspidal):
@@ -491,10 +494,11 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
     S(m sbar, n sbar; q^e), s = c/q^e, times prod_{p|N} H_p(m cbar_0,
     n cbar_0; p^{v_p(c)}).  The factor at q is S(m, n sbar^2; q^e), one
     _S_prime_power call per prime power over the rows with that q^e: one
-    read of the cached FFT vector _classical_S_vector(q, e) per entry, and
-    one more per q^j | gcd(m,n).  The factors at a ramified p are one
-    h_local_many call per v = v_p(c) over the rows with that v and every
-    pair.  Zero whenever c misses the geometric conductor.
+    read of the FFT vector S(t,1;q^e) per entry, and one more per
+    q^j | gcd(m,n).  Those vectors are built here, not cached: each once,
+    and only those of the current prime q are held.  The factors at a
+    ramified p are one h_local_many call per v = v_p(c) over the rows with
+    that v and every pair.  Zero whenever c misses the geometric conductor.
     """
     check_table_capacity(len(cs), len(ms))
     cs = np.asarray(cs, dtype=np.int64)
@@ -505,11 +509,15 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
     for tf in gtf.locals:
         while (hit := c0 % tf.p == 0).any():
             c0[hit] //= tf.p
+    prime = None
     for q, e, rows in _prime_power_parts(c0):
+        if q != prime:
+            # the parts of one prime come together, so the vectors of the
+            # last prime are never read again
+            prime, vector = q, cache(lambda p, k: _twisted_S_vector(p, k, None))
         qe = q**e
-        xs, xinvs = _unit_inverses(qe)
-        sbar = xinvs[np.searchsorted(xs, cs[rows] // qe % qe)]
-        table[rows] *= _S_prime_power(q, e, ms, ns, sbar * sbar % qe)
+        sbar = np.array([pow(s, -1, qe) for s in (cs[rows] // qe).tolist()], dtype=np.int64)
+        table[rows] *= _S_prime_power(q, e, ms, ns, sbar * sbar % qe, vector)
     for tf in gtf.locals:
         p = tf.p
         vs = np.array([valuation(c // c_0, p) for c, c_0 in zip(cs.tolist(), c0.tolist())])
@@ -949,7 +957,12 @@ def bound_report(tf: LocalTestFunction, m: int, n: int, k: int) -> list[BoundIte
             valuation(n, p) if n else k,
             k,
         )
-        weil = float(tf.delta_p()) * (2 * p ** (k / 2) * p ** (vm / 2))
+        # |S(m,n;p^k)| <= C (m,n,p^k)^(1/2) p^(k/2), C = 2 for odd p and
+        # 2^(3/2) at p = 2, where x^2 = mn can have four roots mod 2^j, not
+        # two (the prime-power case of Estermann, "On Kloosterman's sum",
+        # Mathematika 8 (1961)); at 2^10 the ratio reaches 2.8282
+        weil_c = 2**1.5 if p == 2 else 2
+        weil = float(tf.delta_p()) * (weil_c * p ** (k / 2) * p ** (vm / 2))
         items.append(BoundItem("weil", weil, mag, mag <= weil * (1 + 1e-9)))
     if isinstance(tf, Supercuspidal):
         items += _sc_bounds(tf, 1, m * n, k, mag)

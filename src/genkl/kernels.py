@@ -2,7 +2,7 @@
 sums and the norm-bucketed dihedral sums.
 
 The Kloosterman kernel is the definitional reference: engine reads every
-production S(m,n;p^k) from its cached FFT vectors, and only the reference
+production S(m,n;p^k) from its FFT vectors, and only the reference
 engine.classical_S_many calls kloosterman_many.
 
 The dihedral sums never walk the p^(2k) pairs (a, b) mod p^k.  Each unit

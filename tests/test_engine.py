@@ -890,6 +890,26 @@ class TestNbhdBoundaryP2:
 
 
 class TestBounds:
+    def test_weil_at_every_pair_mod_2k(self):
+        # the Weil bound depends on (m, n) through v = v_2((m, n, 2^k)) only,
+        # so the largest brute |S| of each v class checks every pair; at
+        # p = 2 the ratio to 2^(k/2) 2^(v/2) reaches 2.825 by k = 8
+        tf = Classical(2, 1)
+        for k in range(1, 9):
+            q = 2**k
+            ms, ns = np.divmod(np.arange(q * q), q)
+            phase = np.exp(2j * np.pi * np.arange(q) / q)
+            S = np.zeros(q * q, dtype=np.complex128)
+            for x in range(1, q, 2):
+                S += phase[(ms * x + ns * pow(x, -1, q)) % q]
+            g = np.gcd(np.gcd(ms, ns), q)
+            for v in np.unique(g).tolist():
+                i = np.flatnonzero(g == v)[np.argmax(np.abs(S[g == v]))]
+                items = bound_report(tf, int(ms[i]), int(ns[i]), k)
+                weil = next(item for item in items if item.name == "weil")
+                assert abs(weil.magnitude - float(tf.delta_p()) * abs(S[i])) < 1e-9
+                assert weil.satisfied, (k, int(ms[i]), int(ns[i]))
+
     def test_statphase_bound_on_values(self):
         for tf in (make_sc(3, 0), make_sc(3, 1), make_sc(5, 0)):
             for k in range(max(-(-tf.c_sigma // 2), 2), 5):

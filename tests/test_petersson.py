@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from genkl import petersson
+from genkl import engine, petersson
 from genkl.padic import BESSEL_X_CAP, CapacityError
 from genkl.quadext import standard_extensions
 from genkl.extchars import enumerate_xi, eta_restriction
@@ -192,6 +193,25 @@ class TestGeometric:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError, match="pairs"):
             ratio_verify([12], [], c_max=50)
+
+    def test_h_table_holds_no_prime_power_caches(self):
+        # the benchmark's run: the 333 prime-power vectors of c <= 2000 are
+        # built one prime at a time, and neither the vector nor the
+        # inverse-table cache is filled (at 4.4 MB each they held 14.3 MB
+        # traced at the peak)
+        engine._classical_S_vector.cache_clear()
+        engine._unit_inverses.cache_clear()
+        pairs = [(m, n) for m in range(1, 11) for n in range(1, 11)]
+        tracemalloc.start()
+        try:
+            rep = ratio_verify([12, 16, 18, 20, 22, 26], pairs, c_max=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["max_deviation"] < 1e-9
+        assert peak < 8 * 2**20
+        assert engine._classical_S_vector.cache_info().currsize == 0
+        assert engine._unit_inverses.cache_info().currsize == 0
 
     def test_weight_guards(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ oracles, and the bound reports.
 
 Closed forms are authoritative; the brute-force oracles (I_xi by fiber
 enumeration, R by direct integration, Mellin by finite Fourier) provide
-the independent verification paths.  All heavy sums run through
+the independent verification paths.  The brute R sums every class of one
+(xi, k) in one masked array; its plain loop stays as the reference.  All heavy sums run through
 genkl.kernels.  Every production S(m,n;p^k) reads the FFT vectors
 S(t,1;p^j) through Selberg's identity (_S_prime_power): the local sums
 from the cached vectors, h_global_table from vectors it builds and drops
@@ -67,6 +68,14 @@ from .families import (
 )
 
 
+# Every memoized array is read-only: its callers share it, and an in-place
+# write by one would change what every later caller reads.
+def _readonly(arr) -> np.ndarray:
+    arr = np.asarray(arr)  # arithmetic on a 0-d array returns a scalar
+    arr.flags.writeable = False
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # Classical sums, cached per modulus
 
@@ -110,7 +119,7 @@ def _residues(xs, c: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _classical_S_vector(p: int, k: int) -> np.ndarray:
     """S(y,1;p^k) for every y mod p^k via one FFT."""
-    return _twisted_S_vector(p, k, None)
+    return _readonly(_twisted_S_vector(p, k, None))
 
 
 def _S_prime_power(p: int, k: int, ms, ns, ws=(1,), vector=_classical_S_vector) -> np.ndarray:
@@ -162,7 +171,7 @@ def xi_table(xi: ExtCharacter, /) -> np.ndarray:
     table = np.zeros(G.pk * G.pk, dtype=np.complex128)
     phases = wdlog @ np.array(xi.exps, dtype=np.int64) % G.L
     table[flat] = np.exp(2j * np.pi * (phases / G.L))
-    return table.reshape(G.pk, G.pk)
+    return _readonly(table.reshape(G.pk, G.pk))
 
 
 def I_xi_vector(xi: ExtCharacter, k: int, restrict_U1: bool = False) -> np.ndarray:
@@ -183,9 +192,7 @@ def _I_xi_vector(xi: ExtCharacter, k: int, restrict_U1: bool, /) -> np.ndarray:
     if restrict_U1:
         r = np.arange(len(table))
         table = np.where((r[:, None] % ext.p == 1) & (r[None, :] % ext.p == 0), table, 0)
-    return np.asarray(
-        kernels.dihedral_bucket(ext.p, k, ext.A, ext.B, table, xi.group.M)
-    )
+    return _readonly(kernels.dihedral_bucket(ext.p, k, ext.A, ext.B, table, xi.group.M))
 
 
 def dihedral_sum_I(ext: QuadExtension, xi: ExtCharacter, m: int, k: int) -> complex:
@@ -314,7 +321,7 @@ def h_local_vector(tf: LocalTestFunction, k: int) -> np.ndarray:
         vec = tf.index() * h_local_vector(tf.base, k)
     else:
         raise TypeError(f"unknown family {tf!r}")
-    _H_VEC_CACHE[key] = vec
+    _H_VEC_CACHE[key] = vec = _readonly(vec)
     return vec
 
 
@@ -591,12 +598,6 @@ def _conj_index(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _readonly(arr) -> np.ndarray:
-    arr = np.asarray(arr)  # arithmetic on a 0-d array returns a scalar
-    arr.flags.writeable = False
-    return arr
-
-
 # Read-only tables.  The test suite's lookups replayed through an LRU hit
 # 0.834 (198 keys) and 0.9996 (29 keys) at these bounds, as unbounded.
 @lru_cache(maxsize=256)
@@ -814,40 +815,39 @@ def stationary_phase_R(xi: ExtCharacter, k: int, u0: tuple[int, int]) -> float:
     return scale if -(-(k - (e_ - 1)) // 2) >= c0 else 0.0
 
 
-def stationary_phase_R_brute(
-    xi: ExtCharacter, k: int, u0: tuple[int, int]
-) -> complex:
-    """R_{k,xi}(b) as the normalized finite sum: weight p^{-2k} per (da,db)
-    pair over the du lattice subject to the norm congruence.  Evaluated
-    with array arithmetic; the scalar reference loop below cross-checks
-    it in the unit tests."""
+def stationary_phase_R_brute(xi: ExtCharacter, k: int, u0s) -> np.ndarray:
+    """R_{k,xi}(b) at every unit class u0 = a + b alpha0 of u0s, as the
+    normalized finite sum: weight p^{-2k} per (da,db) pair over the du
+    lattice subject to the norm congruence.  One masked array over (class,
+    da, db), about 2^16 elements at a time; the scalar reference loop below
+    cross-checks it in the unit tests."""
     ext = xi.ext
     check_capacity(ext.p, k)
-    p, e_ = ext.p, ext.e
+    p, e_, A, B = ext.p, ext.e, ext.A, ext.B
     pk = p**k
-    a_step = p ** (-(-k // 2))
-    b_step = p ** (-(-(k - (e_ - 1)) // 2))
-    m = ext.norm(u0, pk)
-    u0_inv = ext.inv(u0, pk)
-    da = np.arange(0, pk, a_step, dtype=np.int64)[:, None]
-    db = np.arange(0, pk, b_step, dtype=np.int64)[None, :]
-    A, B = ext.A, ext.B
-    ua = (u0[0] + da) % pk
-    ub = (u0[1] + db) % pk
-    norm = (ua * ua - A * ua * ub + B * ub * ub) % pk
-    mask = norm == m
-    if not mask.any():
-        return 0j
-    ia, ib = u0_inv
-    ra = (da * ia - B * db * ib) % pk
-    rb = (da * ib + db * ia - A * db * ib) % pk
-    table = xi_table(xi)
-    pM = xi.group.pk
-    vals = table[(1 + ra) % pM, rb % pM]
-    tr = (2 * da - A * db) % pk
-    phases = np.exp(-2j * np.pi * tr / pk)
-    total = (vals * phases * mask).sum()
-    return complex(total) * float(p) ** (-2 * k)
+    a0, b0 = np.array(u0s, dtype=np.int64).reshape(-1, 2).T % pk
+    m = (a0 * a0 - A * a0 * b0 + B * b0 * b0) % pk
+    if (m % p == 0).any():
+        raise ValueError("every class u0 must be a unit")
+    # u0^{-1} = conj(u0) / Nm(u0)
+    ws, wbars = kernels.unit_inverses(pk)
+    m_inv = wbars[np.searchsorted(ws, m)]
+    ia, ib = (a0 - A * b0) % pk * m_inv % pk, -b0 % pk * m_inv % pk
+    da = np.arange(0, pk, p ** (-(-k // 2)), dtype=np.int64)[:, None]
+    db = np.arange(0, pk, p ** (-(-(k - (e_ - 1)) // 2)), dtype=np.int64)[None, :]
+    phases = np.exp(-2j * np.pi * ((2 * da - A * db) % pk) / pk)
+    table, pM = xi_table(xi), xi.group.pk
+    out = np.zeros(len(m), dtype=np.complex128)
+    step = max(1, (1 << 16) // phases.size)
+    for lo in range(0, len(m), step):
+        a, b, n, x, y = (v[lo:lo + step, None, None] for v in (a0, b0, m, ia, ib))
+        ua, ub = (a + da) % pk, (b + db) % pk
+        mask = (ua * ua - A * ua * ub + B * ub * ub) % pk == n
+        ra = (da * x - B * db * y) % pk
+        rb = (da * y + db * x - A * db * y) % pk
+        vals = table[(1 + ra) % pM, rb % pM]
+        out[lo:lo + step] = (vals * phases * mask).reshape(len(a), -1).sum(1)
+    return out * float(p) ** (-2 * k)
 
 
 def stationary_phase_R_brute_scalar(

@@ -14,7 +14,9 @@ unit_phase and __call__ evaluate one unit through UnitGroup.dlog; they
 are the per-point oracles.  Scans over characters (enumerate_xi,
 neighborhoods, ExtCharacter.conductor) read the group's one array view,
 UnitGroup.units_view: the restriction test and the conductor of a block
-of exponent vectors are integer matrix products mod L over its rows.
+of exponent vectors are integer matrix products mod L over its rows.  The
+Postnikov solve evaluates xi once per element of p_E^i / p_E^c and tests
+every candidate alpha at once, one integer matrix product mod p^W.
 
 Derived invariants are memoized with functools.cache on positional-only
 arguments, so each value has one cache key.
@@ -31,7 +33,7 @@ import numpy as np
 
 from .kernels import _BLOCK
 from .padic import DirichletCharacter, e, phase_exponent, unit_group_zpk, valuation
-from .quadext import EXCEEDS_PRECISION, QuadExtension, UnitGroup, eta_char, unit_group
+from .quadext import EXCEEDS_PRECISION, QuadExtension, UnitGroup, _v_E, eta_char, unit_group
 
 
 def c_psi_E(ext: QuadExtension) -> int:
@@ -479,7 +481,10 @@ def postnikov_linearize(xi: ExtCharacter, i: int, /) -> PostnikovDatum:
 
     Requires 1 <= i and c(xi) <= 2i (the linear regime); the solution has
     v_E(alpha) = -c(xi) + c(psi_E) and is verified exhaustively on
-    p_E^i / p_E^{c}.
+    p_E^i / p_E^{c}.  Tr(x u) = x . (Tr u, Tr alpha0 u), so xi is evaluated
+    once per element u and every candidate x mod p^W of the target
+    valuation is tested at once, one integer matrix product mod p^W: the
+    first three elements prune, then every element must match.
     """
     ext = xi.ext
     c = xi.conductor()
@@ -487,67 +492,42 @@ def postnikov_linearize(xi: ExtCharacter, i: int, /) -> PostnikovDatum:
         raise ValueError("need 1 <= i and c(xi) <= 2i")
     if c == 0:
         return PostnikovDatum((0, 0), max(1, i), i, ext)
-    p, ecode = ext.p, ext.e
+    p, ecode, A, G = ext.p, ext.e, ext.A, xi.group
     W = c if ecode == 1 else -(-(c + ext.d) // 2)
-    target_v = ecode * W + c_psi_E(ext) - c
     pw = p**W
     us = _filtration_elements(ext, i, c)
-    # probe set keeps the candidate scan cheap
-    probes = us[:3]
-    sols = []
-    for xa in range(pw):
-        for xb in range(pw):
-            x = (xa, xb)
-            if ext.v_E(x, W) != target_v:
-                continue
-            if all(_postnikov_match(xi, ext, x, W, u) for u in probes):
-                if all(_postnikov_match(xi, ext, x, W, u) for u in us):
-                    sols.append(x)
-    if not sols:
+    # xi(1 + u) = e(phase / L) against psi_E(x u / p^W) = e(Tr(x u) / p^W)
+    phase = np.array([xi.unit_phase(((1 + a) % G.pk, b % G.pk)) for a, b in us.tolist()], dtype=np.int64)
+    ua, ub = us.T
+    T = np.array([2 * ua - A * ub, -2 * ext.B * ub - A * (ua - A * ub)], dtype=np.int64) % pw
+    # x = alpha p^W has v_E(x) = top - c, and the solutions agree mod
+    # p_E^(top - i)
+    top, sols = ecode * W + c_psi_E(ext), []
+    for lo in range(0, pw * pw, _BLOCK):
+        xa, xb = np.divmod(np.arange(lo, min(pw * pw, lo + _BLOCK)), pw)
+        xs = np.stack([xa, xb], 1)[_v_E(ext, xa, xb, W) == top - c]
+        for cols in (slice(0, 3), slice(None)):
+            xs = xs[(xs @ T[:, cols] % pw * G.L == phase[cols] * pw).all(1)]
+        sols.append(xs)
+    sols = np.concatenate(sols)
+    if not len(sols):
         raise ValueError("no Postnikov solution: inconsistent character data")
-    # all solutions must form one class mod p_E^{e W + c(psi_E) - i}
-    bound = ecode * W + c_psi_E(ext) - i
-    x0 = min(sols)
-    for x in sols:
-        diff = ((x[0] - x0[0]) % pw, (x[1] - x0[1]) % pw)
-        if diff != (0, 0) and ext.v_E(diff, W) < bound:
-            raise AssertionError("Postnikov solution not unique in its class")
-    return PostnikovDatum(x0, W, i, ext)
+    # the first solution is the least pair
+    da, db = ((sols - sols[0]) % pw).T
+    if (_v_E(ext, da, db, W) < top - i).any():
+        raise AssertionError("Postnikov solution not unique in its class")
+    return PostnikovDatum(tuple(sols[0].tolist()), W, i, ext)
 
 
-def _postnikov_match(xi, ext, x, W, u) -> bool:
-    pw = ext.p**W
-    prod = ext.mul(x, u, pw)
-    lhs = xi.unit_phase(((1 + u[0]) % xi.group.pk, u[1] % xi.group.pk))
-    # lhs / L == Tr(x u) / p^W, both reduced to [0, 1)
-    return lhs * pw == ext.trace(prod, pw) * xi.group.L
-
-
-def _filtration_elements(ext: QuadExtension, i: int, c: int) -> list[tuple[int, int]]:
-    """Representatives of p_E^i / p_E^c as ring pairs mod p^{ceil(c/e)}."""
-    p, e_ = ext.p, ext.e
-    M = -(-c // e_)
-    pM = p**M
-    out = []
-    for a in range(pM):
-        for b in range(pM):
-            if (a, b) == (0, 0):
-                continue
-            v = ext.v_E((a, b), M)
-            if v != EXCEEDS_PRECISION and v >= i:
-                out.append((a, b))
-    # dedupe mod p_E^c: pairs are already mod p^M; for e=2 odd c the class
-    # mod p_E^c is coarser, keep one per class
-    if e_ == 2 and c % 2 == 1:
-        step = p ** (M - 1)
-        seen = set()
-        dedup = []
-        for a, b in out:
-            key = (a, b % step)
-            if key in seen:
-                continue
-            seen.add(key)
-            dedup.append((a, b))
-        out = dedup
-    out.sort(key=lambda ab: (ext.v_E(ab, M), ab))
-    return out
+def _filtration_elements(ext: QuadExtension, i: int, c: int) -> np.ndarray:
+    """The nonzero classes of p_E^i / p_E^c, one pair (a, b) per row, ordered
+    by v_E and then lexicographically.  p_E^c = p^M Z_p + p^(M - c mod e)
+    alpha0 Z_p with M = ceil(c/e), so a runs mod p^M and b mod
+    p^(M - c mod e)."""
+    M = -(-c // ext.e)
+    pb = ext.p ** (M - c % ext.e)
+    a, b = np.divmod(np.arange(1, ext.p**M * pb), pb)
+    v = _v_E(ext, a, b, M)
+    idx = np.flatnonzero(v >= i)
+    idx = idx[np.argsort(v[idx], kind="stable")]
+    return np.stack([a[idx], b[idx]], 1)

@@ -237,6 +237,7 @@ def dlog_rows(p: int, k: int):
         units = (units[:, None] * x % q).ravel()
     rows = np.zeros((q, len(orders)), dtype=np.int64)
     rows[units] = np.indices(orders).reshape(len(orders), len(units)).T
+    units.flags.writeable = rows.flags.writeable = False
     return units, rows
 
 

@@ -491,11 +491,17 @@ def ratio_verify(
         raise ValueError("pairs is empty: give at least one (m, n)")
     report = {"max_deviation": 0.0, "entries": []}
     n_need = max(max(m, n) for m, n in pairs)
+    datas = [(eigen or {}).get(kappa) or builtin_eigendata(kappa, n_need) for kappa in kappas]
+    for kappa, data in zip(kappas, datas):
+        if len(data.lams) < n_need:
+            raise ValueError(
+                f"eigendata for kappa = {kappa} holds lambda(1..{len(data.lams)}), "
+                f"the pairs need lambda(1..{n_need})"
+            )
     batch = [(1, 1), *pairs]
     table = _h_table(gtf, batch, c_max)
     rows = _geometric_side(gtf, kappas, batch, table, c_max)
-    for kappa, (base, *vals) in zip(kappas, rows):
-        data = (eigen or {}).get(kappa) or builtin_eigendata(kappa, n_need)
+    for kappa, data, (base, *vals) in zip(kappas, datas, rows):
         for (m, n), v in zip(pairs, vals):
             lam = (data.lam(m) * data.lam(n).conjugate()).real
             dev = abs(v / base - lam)

@@ -439,18 +439,26 @@ class UnitGroup:
         times the weights L/o_j, so a character's phase there is this row
         times its exponent vector, mod L; and v_E(u - 1) capped at m, whose
         maximum over a class is the class's depth."""
-        ext, pk, M = self.ext, self.pk, self.M
-        p, e = ext.p, ext.e
-        flat = self._units
+        pk, flat = self.pk, self._units
         a, b = np.divmod(flat, pk)
         rows = self._row[flat - b + b % self._b_mod]
         weights = np.array([self.L // o for o in self.orders], dtype=np.int64)
+        depth = np.minimum(_v_E(self.ext, (a - 1) % pk, b, self.M), self.m)
+        view = flat, self._dlog[rows] * weights, depth
+        for arr in view:
+            arr.flags.writeable = False
+        return view
 
-        def val(x):  # v_p of residues mod p^M, M at 0
-            return sum((x % p**j == 0).astype(np.int64) for j in range(1, M + 1))
 
-        depth = np.minimum(np.minimum(e * val((a - 1) % pk), e * val(b) + e - 1), self.m)
-        return flat, self._dlog[rows] * weights, depth
+def _v_E(ext: QuadExtension, a, b, M: int) -> np.ndarray:
+    """QuadExtension.v_E over arrays of residues a, b mod p^M, but e M
+    where both vanish."""
+    p, e = ext.p, ext.e
+
+    def val(x):  # v_p of residues mod p^M, M at 0
+        return sum((x % p**j == 0).astype(np.int64) for j in range(1, M + 1))
+
+    return np.minimum(e * val(a), e * val(b) + e - 1)
 
 
 @lru_cache(maxsize=None)

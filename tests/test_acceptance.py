@@ -282,10 +282,11 @@ def test_criterion_5_stationary_phase():
             for k in range(max(-(-cs // 2), 2), 13):
                 if p ** (2 * k) > 10**6:
                     break
-                for u0 in _u0_class_reps(ext, k):
+                u0s = list(_u0_class_reps(ext, k))
+                brute = stationary_phase_R_brute(xi, k, u0s).tolist()
+                for u0, b in zip(u0s, brute):
                     closed = stationary_phase_R(xi, k, u0)
-                    brute = stationary_phase_R_brute(xi, k, u0)
-                    worst = max(worst, abs(closed - brute))
+                    worst = max(worst, abs(closed - b))
                     checked += 1
                     branches.add((p, ext.d, u0[0] % p == 0))
     elapsed = time.time() - t0
@@ -429,7 +430,9 @@ def test_criterion_8_bound_suite():
                     continue
                 bound = _statphase_bound(tf, m, k)
                 assert abs(hv[m]) <= bound * (1 + 1e-9), (tf.tag, p, k, m)
-    # Weil bound on all classical values
+    # Weil bound on all classical values.  The constant 2 holds at 2^k only
+    # through k = 4 (worst ratio 1.41); from 2^5 on the bound needs 2^(3/2),
+    # which TestBounds.test_weil_at_every_pair_mod_2k checks
     for p, c in ((2, 2), (3, 1), (5, 1)):
         tf = Classical(p, c)
         for k in range(c, c + 3):

@@ -278,6 +278,25 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 
+    def test_petersson_verify_short_cache_is_one(self, capsys, tmp_path):
+        from genkl.petersson import builtin_eigendata, write_eigen_cache
+
+        path = str(tmp_path / "eigen.jsonl")
+        write_eigen_cache(path, builtin_eigendata(12, 5))
+        argv = ["petersson-verify", "--kappa", "12", "--cmax", "100", "--eigen-cache", path]
+        # lambda(1..5) is short of the pairs up to 8
+        assert main(argv + ["--mmax", "8"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: eigendata for kappa = 12 holds lambda(1..5), "
+            "the pairs need lambda(1..8)\n"
+        )
+        # and is enough for the pairs up to 5
+        assert main(argv + ["--mmax", "5"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["status"] == "pass" and err == ""
+
     def test_petersson_verify_bad_cache_is_one(self, capsys, tmp_path):
         path = tmp_path / "eigen.jsonl"
         path.write_text('{"level": 1, "weight": 12, "n": 1, "lambda_re": NaN, "lambda_im": 0}\n')

@@ -189,6 +189,25 @@ class TestValueMemos:
         # classical family, nu(27) - nu(9) = 24 for Nelson's
         assert np.allclose(24 * cl, 36 * ne) and np.abs(cl).max() > 1
 
+    def test_cached_arrays_are_read_only(self):
+        from genkl.padic import dlog_rows
+
+        sc = make_sc(3, 1)
+        arrays = {
+            "_classical_S_vector": engine._classical_S_vector(3, 2),
+            "xi_table": engine.xi_table(sc.xi),
+            "_I_xi_vector": I_xi_vector(sc.xi, 3),
+            "h_local_vector classical": h_local_vector(Classical(3, 1), 2),
+            "h_local_vector supercuspidal": h_local_vector(sc, 3),
+            "dlog_rows units": dlog_rows(3, 2)[0],
+            "dlog_rows rows": dlog_rows(3, 2)[1],
+            **{f"units_view {i}": arr for i, arr in enumerate(sc.xi.group.units_view)},
+        }
+        for name, arr in arrays.items():
+            with pytest.raises(ValueError):
+                arr.flat[0] += 1
+                pytest.fail(f"{name} is writable")
+
 
 class TestHLocal:
     def test_classical_values(self):
@@ -751,7 +770,7 @@ class TestStationaryPhase:
                     if not xi.ext.is_unit(u0):
                         continue
                     closed = stationary_phase_R(xi, k, u0)
-                    brute = stationary_phase_R_brute(xi, k, u0)
+                    brute = stationary_phase_R_brute(xi, k, [u0])[0]
                     assert abs(closed - brute) < 1e-10
 
     def test_p2_d0_vanishing_branch(self):
@@ -761,7 +780,7 @@ class TestStationaryPhase:
         xi = enumerate_xi(ext, 3, eta_restriction(ext), regular_only=True)[0]
         # v(a) > 0 kills the integral for the unramified extension of Q_2
         assert stationary_phase_R(xi, 3, (2, 1)) == 0.0
-        assert abs(stationary_phase_R_brute(xi, 3, (2, 1))) < 1e-12
+        assert abs(stationary_phase_R_brute(xi, 3, [(2, 1)])[0]) < 1e-12
 
     def test_case2_indicator(self, xi_ram3_c2):
         # with b' deep, R = p^{-ceil((3k-d)/2)} delta(ceil((k-1)/2) >= c0)
@@ -785,9 +804,37 @@ class TestStationaryPhase:
         for xi in (xi_unram3_c1, xi_ram3_c2):
             for k in (2, 3):
                 for u0 in ((1, 0), (2, 1), (1, 2)):
-                    a = stationary_phase_R_brute(xi, k, u0)
+                    a = stationary_phase_R_brute(xi, k, [u0])[0]
                     b = stationary_phase_R_brute_scalar(xi, k, u0)
                     assert abs(a - b) < 1e-12
+
+    def test_brute_batch_matches_scalar_per_class(self, xi_unram3_c1, xi_ram3_c2):
+        from genkl.engine import stationary_phase_R_brute_scalar
+
+        ext2 = standard_extensions(2)[0]
+        xi2 = enumerate_xi(ext2, 3, eta_restriction(ext2), regular_only=True)[0]
+        # several norms, a ramified extension, and the p = 2, d = 0 class
+        # (2, 1) where R vanishes
+        cases = [
+            (xi_unram3_c1, 3, [(1, 0), (2, 1), (0, 1), (5, 7), (4, 3), (1, 0), (26, 13)]),
+            (xi_ram3_c2, 3, [(1, 0), (2, 1), (1, 2), (4, 3), (8, 26)]),
+            (xi2, 3, [(1, 0), (2, 1), (1, 1), (3, 6), (6, 5), (7, 0)]),
+        ]
+        for xi, k, u0s in cases:
+            pk = xi.ext.p**k
+            assert len({xi.ext.norm(u0, pk) for u0 in u0s}) > 2
+            got = stationary_phase_R_brute(xi, k, u0s)
+            assert got.shape == (len(u0s),)
+            for u0, a in zip(u0s, got):
+                assert abs(a - stationary_phase_R_brute_scalar(xi, k, u0)) < 1e-12
+        assert abs(stationary_phase_R_brute(xi2, 3, [(2, 1)])[0]) < 1e-12
+
+    def test_brute_batch_edges(self, xi_unram3_c1, xi_ram3_c2):
+        assert stationary_phase_R_brute(xi_unram3_c1, 3, []).shape == (0,)
+        with pytest.raises(ValueError):
+            stationary_phase_R_brute(xi_unram3_c1, 3, [(1, 0), (3, 6)])
+        with pytest.raises(ValueError):
+            stationary_phase_R_brute(xi_ram3_c2, 3, [(1, 0), (3, 1)])
 
     def test_hypothesis_guards(self, xi_unram3_c1):
         with pytest.raises(ValueError):
@@ -808,6 +855,7 @@ class TestStationaryPhase:
         args = {
             "_stationary_E_gauss": (alpha_bar, xi_unram3_c1, 25),
             "E_gauss_brute": (alpha_bar, xi_unram3_c1, 25),
+            "stationary_phase_R_brute": (xi_unram3_c1, 25, [(1, 0)]),
         }.get(name, (xi_unram3_c1, 25, (1, 0)))
         t0 = time.perf_counter()
         with pytest.raises(CapacityError):

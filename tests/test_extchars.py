@@ -11,6 +11,7 @@ from genkl.quadext import standard_extensions, unit_group
 from genkl.extchars import (
     BaseRestriction,
     ExtCharacter,
+    PostnikovDatum,
     compose_with_norm,
     c_psi_E,
     enumerate_xi,
@@ -24,7 +25,7 @@ from genkl.extchars import (
     seed_conductors,
     sigma_conductor,
 )
-from genkl.extchars import _conductors, _scan, _unif_phases
+from genkl.extchars import _conductors, _filtration_elements, _scan, _unif_phases
 from genkl.engine import xi_table
 
 
@@ -336,6 +337,32 @@ class TestPostnikov:
     def test_regime_guard(self, xi_unram3_c1):
         with pytest.raises(ValueError):
             postnikov_linearize(xi_unram3_c1, 0)
+
+    def test_one_evaluation_per_filtration_element(self, monkeypatch):
+        ext = standard_extensions(2)[0]
+        xi = enumerate_xi(ext, 5, eta_restriction(ext), regular_only=True)[0]
+        xi.conductor()  # memoized before counting
+        calls = []
+        unit_phase = ExtCharacter.unit_phase
+
+        def counted(self, pair):
+            calls.append(pair)
+            return unit_phase(self, pair)
+
+        monkeypatch.setattr(ExtCharacter, "unit_phase", counted)
+        pd = postnikov_linearize.__wrapped__(xi, 3)
+        assert pd == PostnikovDatum((1, 2), 5, 3, ext)
+        assert len(calls) <= len(_filtration_elements(ext, 3, 5)) + 2
+
+    def test_empty_filtration_takes_the_least_solution(self):
+        # c = i = 1 on the unramified Q_2: p_E^1 / p_E^1 is empty, so every
+        # x of the target valuation solves, and the least pair is returned
+        ext = standard_extensions(2)[0]
+        xi = ExtCharacter(ext, unit_group(ext, 1), (1,), Fraction(1, 2))
+        assert xi.conductor() == 1
+        assert _filtration_elements(ext, 1, 1).shape == (0, 2)
+        for i in (1, 2):
+            assert postnikov_linearize(xi, i) == PostnikovDatum((0, 1), 1, i, ext)
 
 
 class TestValueIdentity:

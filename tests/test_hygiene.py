@@ -213,6 +213,53 @@ def test_no_flagless_unique():
     assert not found, found
 
 
+# the full walks over every unit pair; everything else reads array views
+UNIT_WALK_ORACLES = ("E_gauss_brute", "norm_fiber_brute")
+
+
+def unit_walks(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every x.units(...) call outside the
+    brute-force oracles: QuadExtension.units yields one Python tuple per
+    unit pair."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "units"
+                and func not in UNIT_WALK_ORACLES
+            ):
+                out.append((child.lineno, func))
+            visit(child, func)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_detector_sees_unit_walks():
+    src = (
+        "def E_gauss_brute(ext):\n    return sum(1 for u in ext.units(2))\n"
+        "def scan(ext):\n    return list(ext.units(3))\n"
+        "def norm_fiber_brute(ext):\n    def key(u):\n        return ext.units(1)\n"
+        "walk = ext.units\nfirst = next(ext.units(1))\n"
+    )
+    assert unit_walks(src) == [(4, "scan"), (7, "key"), (9, "<module>")]
+
+
+def test_units_walked_only_by_the_oracles():
+    found = [
+        f"{path.relative_to(ROOT)}:{line} in {func}"
+        for path in sorted((ROOT / "src" / "genkl").glob("*.py"))
+        for line, func in unit_walks(path.read_text())
+    ]
+    assert not found, found
+
+
 def test_commands_load_no_numpy_ma():
     code = """
 import contextlib, io, sys

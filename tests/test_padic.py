@@ -146,6 +146,9 @@ class TestKloosterman:
         p = 2 if c % 2 == 0 else (3 if c % 3 == 0 else 5)
         k = round(math.log(c, p))
         vm = min(valuation(m, p) if m else k, valuation(n, p) if n else k, k)
+        # the constant 2 holds at 2^k only through k = 4 (worst ratio 1.41);
+        # from 2^5 on the bound needs 2^(3/2), which
+        # test_engine.py's TestBounds.test_weil_at_every_pair_mod_2k checks
         assert abs(s1) <= 2 * p ** (k / 2) * p ** (vm / 2) + 1e-9
 
 

@@ -11,9 +11,12 @@ the independent verification paths.  The brute R sums every class of one
 (xi, k) in one masked array; its plain loop stays as the reference.  All heavy sums run through
 genkl.kernels.  Every production S(m,n;p^k) reads the FFT vectors
 S(t,1;p^j) through Selberg's identity (_S_prime_power): the local sums
-from the cached vectors, h_global_table from vectors it builds and drops
-one prime at a time.  classical_S and classical_S_many, over the E F^T
-kernel, are the definitional reference.
+from the cached vectors, h_global_table from vectors it builds in one
+stream over its moduli and drops once their prime is done.  Each vector
+is one ifft over the (unit, inverse) pairs of padic.unit_pairs, which
+reads the inverses off generator powers, a block of moduli at a time.
+classical_S and classical_S_many, over the E F^T kernel and the Euler
+inverses of kernels.unit_inverses, are the definitional reference.
 
 Each Mellin job has one route: per (family, k) the direct transform is
 one FFT of h_local_vector and the closed form one array over every
@@ -44,6 +47,7 @@ from .padic import (
     gauss_sum_at_level,
     nu,
     unit_group_zpk,
+    unit_pairs,
     valuation,
 )
 from .quadext import QuadExtension, norm_fiber, unit_group
@@ -80,10 +84,10 @@ def _readonly(arr) -> np.ndarray:
 # Classical sums, cached per modulus
 
 
-# Read by the reference classical_S_many only; the vector builders and
-# h_global_table keep no inverse table.  Replayed over the test suite's
-# 19,954 lookups of 307 moduli, 64 entries hit 0.983 (0.985 unbounded)
-# and hold at most 0.2 MB
+# Euler inverses for the reference classical_S_many only; the S(t,1;p^k)
+# vectors take their pairs from padic.unit_pairs and keep no inverse table.
+# Replayed over the test suite's 19,954 lookups of 307 moduli, 64 entries
+# hit 0.983 (0.985 unbounded) and hold at most 0.2 MB
 @lru_cache(maxsize=64)
 def _unit_inverses(c: int):
     return kernels.unit_inverses(c)
@@ -114,8 +118,8 @@ def _residues(xs, c: int) -> np.ndarray:
 
 # read by h_local_many, h_local_vector and _langlands_gamma, one key per
 # (p, k) of a local table; h_global_table builds its own vectors and holds
-# them one prime at a time.  The test suite's 85,758 lookups of 35 keys hit
-# 0.9996 at 64 entries, as unbounded, and the 35 vectors take 0.55 MB
+# those of one prime at a time.  The test suite's 85,758 lookups of 35 keys
+# hit 0.9996 at 64 entries, as unbounded, and the 35 vectors take 0.55 MB
 @lru_cache(maxsize=64)
 def _classical_S_vector(p: int, k: int) -> np.ndarray:
     """S(y,1;p^k) for every y mod p^k via one FFT."""
@@ -143,19 +147,23 @@ def _S_prime_power(p: int, k: int, ms, ns, ws=(1,), vector=_classical_S_vector) 
 
 
 def _twisted_S_vector(p: int, k: int, psi: DirichletCharacter | None) -> np.ndarray:
-    """T(y) = sum over units u of psi(u) e((u + y ubar)/p^k) for all y.
+    """T(y) = sum over units u of psi(u) e((u + y ubar)/p^k) for all y: the
+    one-modulus call of _twisted_S_vectors."""
+    return next(_twisted_S_vectors([(p, k)], psi))
 
-    With h[w] = psi(wbar) e(wbar/p^k) on units, T = p^k * ifft(h).
-    """
-    q = p**k
-    if q == 1:
-        return np.ones(1, dtype=np.complex128)
-    ws, wbars = kernels.unit_inverses(q)
-    h = np.zeros(q, dtype=np.complex128)
-    h[ws] = np.exp(2j * np.pi * wbars / q)
-    if psi is not None:
-        h[ws] *= psi.values()[wbars % psi.modulus]
-    return q * np.fft.ifft(h)
+
+def _twisted_S_vectors(moduli, psi: DirichletCharacter | None = None):
+    """_twisted_S_vector(p, k, psi) for each (p, k) of moduli, in order,
+    each built when it is read.  With h[w] = psi(wbar) e(wbar/p^k) on units,
+    T = p^k * ifft(h), one ifft per modulus; the pairs (w, wbar) come from
+    unit_pairs, a block of moduli at a time."""
+    for (p, k), (ws, wbars) in zip(moduli, unit_pairs(moduli)):
+        q = p**k
+        h = np.zeros(q, dtype=np.complex128)
+        h[ws] = np.exp(2j * np.pi * wbars / q)
+        if psi is not None:
+            h[ws] *= psi.values()[wbars % psi.modulus]
+        yield q * np.fft.ifft(h)
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +510,11 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
     n cbar_0; p^{v_p(c)}).  The factor at q is S(m, n sbar^2; q^e), one
     _S_prime_power call per prime power over the rows with that q^e: one
     read of the FFT vector S(t,1;q^e) per entry, and one more per
-    q^j | gcd(m,n).  Those vectors are built here, not cached: each once,
-    and only those of the current prime q are held.  The factors at a
-    ramified p are one h_local_many call per v = v_p(c) over the rows with
-    that v and every pair.  Zero whenever c misses the geometric conductor.
+    q^j | gcd(m,n).  Those vectors are built here, not cached, each once,
+    by _twisted_S_vectors over every part's q^e in turn, so their unit
+    pairs come a block of moduli at a time; only those of the current
+    prime q are held.  The factors at a ramified p are one h_local_many
+    call per v = v_p(c) over the rows with that v and every pair.  Zero whenever c misses the geometric conductor.
     """
     check_table_capacity(len(cs), len(ms))
     cs = np.asarray(cs, dtype=np.int64)
@@ -516,12 +525,21 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
     for tf in gtf.locals:
         while (hit := c0 % tf.p == 0).any():
             c0[hit] //= tf.p
-    prime = None
-    for q, e, rows in _prime_power_parts(c0):
+    parts = list(_prime_power_parts(c0))
+    prime, held = None, {}
+
+    def vector(p, k):
+        # Selberg's terms may read a power of p that no part has: built alone
+        if k not in held:
+            held[k] = _twisted_S_vector(p, k, None)
+        return held[k]
+
+    for (q, e, rows), vec in zip(parts, _twisted_S_vectors([(q, e) for q, e, _ in parts])):
         if q != prime:
-            # the parts of one prime come together, so the vectors of the
-            # last prime are never read again
-            prime, vector = q, cache(lambda p, k: _twisted_S_vector(p, k, None))
+            # the parts of one prime come together, in ascending e, so the
+            # vectors of the last prime are never read again
+            prime, held = q, {}
+        held[e] = vec
         qe = q**e
         sbar = np.array([pow(s, -1, qe) for s in (cs[rows] // qe).tolist()], dtype=np.int64)
         table[rows] *= _S_prime_power(q, e, ms, ns, sbar * sbar % qe, vector)
@@ -806,7 +824,7 @@ def stationary_phase_R(xi: ExtCharacter, k: int, u0: tuple[int, int]) -> float:
     v_bp = k if b_prime == 0 else valuation(b_prime, p)
     if v_bp < (k + (e_ - 1)) // 2:
         alpha = postnikov_linearize(xi, -(-c // 2))
-        T, W = alpha.trace_alpha0_alpha()
+        T, W = alpha.trace_alpha0_alpha
         L = (k + d) // 2
         pL = p**L
         lhs = b * ext.disc % pL
@@ -830,8 +848,10 @@ def stationary_phase_R_brute(xi: ExtCharacter, k: int, u0s) -> np.ndarray:
     if (m % p == 0).any():
         raise ValueError("every class u0 must be a unit")
     # u0^{-1} = conj(u0) / Nm(u0)
-    ws, wbars = kernels.unit_inverses(pk)
-    m_inv = wbars[np.searchsorted(ws, m)]
+    (ws, wbars), = unit_pairs([(p, k)])
+    inverse = np.zeros(pk, dtype=np.int64)
+    inverse[ws] = wbars
+    m_inv = inverse[m]
     ia, ib = (a0 - A * b0) % pk * m_inv % pk, -b0 % pk * m_inv % pk
     da = np.arange(0, pk, p ** (-(-k // 2)), dtype=np.int64)[:, None]
     db = np.arange(0, pk, p ** (-(-(k - (e_ - 1)) // 2)), dtype=np.int64)[None, :]
@@ -991,7 +1011,7 @@ def _statphase_bound(tf: Supercuspidal, m: int, k: int) -> float:
     ext = tf.ext
     p, d = ext.p, ext.d
     alpha = postnikov_linearize(tf.xi, -(-tf.c_xi // 2))
-    T, W = alpha.trace_alpha0_alpha()
+    T, W = alpha.trace_alpha0_alpha
     cap = -(-k // 2)
     prec = cap + d + 1
     pp = p**prec

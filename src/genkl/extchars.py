@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -468,8 +468,10 @@ class PostnikovDatum:
             return EXCEEDS_PRECISION
         return self.ext.v_E(self.x_pair, self.denom_exp) - self.ext.e * self.denom_exp
 
+    @cached_property
     def trace_alpha0_alpha(self) -> tuple[int, int]:
-        """Tr(alpha0 * alpha_xi) as (integer numerator mod p^W, W)."""
+        """Tr(alpha0 * alpha_xi) as (integer numerator mod p^W, W), formed
+        once per datum: stationary_phase_R reads it for every class."""
         pw = self.ext.p**self.denom_exp
         prod = self.ext.mul((0, 1), self.x_pair, pw)
         return self.ext.trace(prod, pw), self.denom_exp

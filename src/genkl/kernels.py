@@ -1,9 +1,11 @@
 """The hot kernels, in numpy: unit inverses, batched classical Kloosterman
 sums and the norm-bucketed dihedral sums.
 
-The Kloosterman kernel is the definitional reference: engine reads every
-production S(m,n;p^k) from its FFT vectors, and only the reference
-engine.classical_S_many calls kloosterman_many.
+The Kloosterman kernel and its Euler inverses (unit_inverses) are the
+definitional reference: engine reads every production S(m,n;p^k) from its
+FFT vectors, built over the generator-power pairs of padic.unit_pairs, and
+only the reference engine.classical_S_many calls kloosterman_many and
+unit_inverses.
 
 The dihedral sums never walk the p^(2k) pairs (a, b) mod p^k.  Each unit
 class mod p^M is lifted as a = x + p^M i, b = y + p^M j; after the change

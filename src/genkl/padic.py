@@ -17,6 +17,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
+from .kernels import _BLOCK
+
 INF_VALUATION = math.inf
 
 # Discrete-log tables are arrays over every residue; beyond this the module
@@ -221,44 +225,71 @@ def dlog_rows(p: int, k: int):
     numpy arrays: units[i] is the unit whose exponent vector is the i-th in
     C order, and rows[y] is the exponent vector of y (zero off units), so
     rows[units] lists every exponent vector in C order."""
-    import numpy as np
-
     gens, orders = unit_group_zpk(p, k)
     q = p**k
     units = np.array([1 % q], dtype=np.int64)
     for g, o in zip(gens, orders):
-        # g^0, ..., g^(o-1) by block doubling: x[n:2n] = x[:n] g^n
-        x = np.ones(o, dtype=np.int64)
-        n = 1
-        while n < o:
-            t = min(n, o - n)
-            x[n:n + t] = x[:t] * pow(g, n, q) % q
-            n += t
-        units = (units[:, None] * x % q).ravel()
+        units = (units[:, None] * generator_powers([g], [q], o)[0] % q).ravel()
     rows = np.zeros((q, len(orders)), dtype=np.int64)
     rows[units] = np.indices(orders).reshape(len(orders), len(units)).T
     units.flags.writeable = rows.flags.writeable = False
     return units, rows
 
 
+def generator_powers(gs, qs, o: int) -> np.ndarray:
+    """g_i^j mod q_i for 0 <= j < o, one row per generator g_i mod q_i, by
+    block doubling: x[:, n:2n] = x[:, :n] g^n, one array pass for every
+    row at once."""
+    qs = np.asarray(qs, dtype=np.int64)[:, None]
+    g = np.asarray(gs, dtype=np.int64)[:, None] % qs
+    x = np.empty((len(qs), o), dtype=np.int64)
+    x[:, :1] = 1 % qs
+    n = 1
+    while n < o:
+        t = min(n, o - n)
+        x[:, n:n + t] = x[:, :t] * g % qs
+        g = g * g % qs
+        n += t
+    return x
+
+
+def unit_pairs(moduli):
+    """(units, inverses) of (Z/p^k)^* for each (p, k) of moduli, in order.
+
+    The units are powers of unit_group_zpk's generators: g^j for the
+    primitive root g at odd p, +-5^j at p = 2 ((Z/1)^* is {0}).  The
+    inverse of the unit at exponent vector x is the one at -x: g^(o-j), a
+    reversed index, and -5^(-j).  Consecutive moduli share one
+    generator_powers pass, about _BLOCK elements a block.  The primitive
+    roots are found afresh, so no memo grows with the moduli."""
+    spec = []  # (q, g, order of g, whether -1 is a second generator)
+    for p, k in moduli:
+        if p == 2:
+            spec.append((p**k, 5, max(2 ** k // 4, 1), k >= 2))
+        else:
+            spec.append((p**k, _primitive_root_mod_pk(p, k) if k else 1, phi_pk(p, k), False))
+    lo = 0
+    while lo < len(spec):
+        hi, width = lo + 1, spec[lo][2]
+        while hi < len(spec) and (hi - lo + 1) * max(width, spec[hi][2]) <= _BLOCK:
+            width = max(width, spec[hi][2])
+            hi += 1
+        block = spec[lo:hi]
+        powers = generator_powers([g for _, g, _, _ in block], [q for q, _, _, _ in block], width)
+        for row, (q, _, o, signed) in zip(powers, block):
+            units = row[:o]
+            inverses = np.concatenate((units[:1], units[:0:-1]))
+            if signed:
+                units, inverses = np.concatenate((units, q - units)), np.concatenate((inverses, q - inverses))
+            yield units, inverses
+        lo = hi
+
+
 def _primitive_root_mod_pk(p: int, k: int) -> int:
-    for g in range(2, p):
-        if _is_primitive_root_mod_p(g, p):
-            break
-    else:
-        raise AssertionError("no primitive root found")
-    if k == 1:
-        return g
-    # g works mod p^k iff g^(p-1) != 1 mod p^2
-    if pow(g, p - 1, p * p) == 1:
-        g += p
-    return g
-
-
-def _is_primitive_root_mod_p(g: int, p: int) -> bool:
-    n = p - 1
-    m, q = n, 2
-    facs = []
+    """The least primitive root g mod p, or g + p when g^(p-1) = 1 mod p^2
+    and k >= 2 (g works mod p^k iff g^(p-1) != 1 mod p^2)."""
+    n = m = p - 1
+    facs, q = [], 2
     while q * q <= m:
         if m % q == 0:
             facs.append(q)
@@ -267,7 +298,14 @@ def _is_primitive_root_mod_p(g: int, p: int) -> bool:
         q += 1
     if m > 1:
         facs.append(m)
-    return all(pow(g, n // f, p) != 1 for f in facs)
+    for g in range(2, p):
+        if all(pow(g, n // f, p) != 1 for f in facs):
+            break
+    else:
+        raise AssertionError("no primitive root found")
+    if k > 1 and pow(g, n, p * p) == 1:
+        g += p
+    return g
 
 
 def phase_exponent(ph: int, L: int, o: int) -> int:
@@ -310,8 +348,6 @@ class DirichletCharacter:
 
     def values(self):
         """chi(n) for every n mod p^k as a numpy array, zero off units."""
-        import numpy as np
-
         units, rows = dlog_rows(self.p, self.modulus_exponent)
         out = np.zeros(self.modulus, dtype=np.complex128)
         phases = rows[units] @ np.array(self._weights, dtype=np.int64) % self.L
@@ -334,8 +370,6 @@ class DirichletCharacter:
     def conductor_exponent(self) -> int:
         """Smallest j with chi trivial on {x = 1 mod p^j}."""
         if self._conductor_exponent is None:
-            import numpy as np
-
             # the phase at every x = 1 mod p^(j-1), zero at the non-units
             # among them (j = 1), whose rows are zero
             w = np.array(self._weights, dtype=np.int64)

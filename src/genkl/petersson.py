@@ -412,8 +412,8 @@ def _check_table_size(gtf: GlobalTestFunction, mn_max: int, n_pairs: int, c_max:
 
 
 def check_ratio_capacity(mn_max: int, n_pairs: int, c_max: int):
-    """Refuse what ratio_verify would refuse for n_pairs pairs with largest
-    product mn_max, before the caller builds the pairs."""
+    """Refuse what ratio_verify would refuse for n_pairs distinct unordered
+    pairs with largest product mn_max, before the caller builds the pairs."""
     _check_table_size(GlobalTestFunction(()), mn_max, n_pairs + 1, c_max)
 
 
@@ -481,8 +481,9 @@ def ratio_verify(
     eigen: dict[int, EigenData] | None = None,
 ) -> dict:
     """|P(m,n)/P(1,1) - lambda(m) lambda(n)| for the one-dimensional
-    weights and the all-unramified tensor; returns the per-pair deviations
-    and the maximum."""
+    weights and the all-unramified tensor; returns the per-pair deviations,
+    in the order of pairs, and the maximum.  (m, n) and (n, m) share one
+    column of the H table and of the geometric side."""
     gtf = GlobalTestFunction(())
     for kappa in kappas:
         if kappa not in ONE_DIMENSIONAL_WEIGHTS:
@@ -498,9 +499,13 @@ def ratio_verify(
                 f"eigendata for kappa = {kappa} holds lambda(1..{len(data.lams)}), "
                 f"the pairs need lambda(1..{n_need})"
             )
-    batch = [(1, 1), *pairs]
-    table = _h_table(gtf, batch, c_max)
-    rows = _geometric_side(gtf, kappas, batch, table, c_max)
+    # S(m,n;c) = S(n,m;c): the table and the Bessel weights read mn and
+    # gcd(m, n) only, so each unordered pair is summed once, in one column
+    columns: dict = {}
+    cols = [columns.setdefault((min(m, n), max(m, n)), len(columns)) for m, n in [(1, 1), *pairs]]
+    distinct = list(columns)
+    table = _h_table(gtf, distinct, c_max)
+    rows = _geometric_side(gtf, kappas, distinct, table, c_max)[:, cols]
     for kappa, data, (base, *vals) in zip(kappas, datas, rows):
         for (m, n), v in zip(pairs, vals):
             lam = (data.lam(m) * data.lam(n).conjugate()).real

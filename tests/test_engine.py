@@ -10,7 +10,9 @@ from genkl.padic import (
     DirichletCharacter,
     enumerate_dirichlet,
     gauss_sum_at_level,
+    is_prime,
     nu,
+    unit_pairs,
     valuation,
 )
 from genkl.quadext import standard_extensions
@@ -23,7 +25,7 @@ from genkl.families import (
     SupercuspidalNbhd,
     zeta_p,
 )
-from genkl import engine
+from genkl import engine, kernels
 from genkl.engine import (
     E_gauss_brute,
     GlobalTestFunction,
@@ -608,6 +610,60 @@ class TestOneRoute:
             assert reasons == [None] * len(ps)
             assert np.abs(vals - np.array(want)).max() < 1e-9
         assert abs(langlands_gamma(ext) - want_gamma) < 1e-8
+
+
+def euler_S_vector(p, k):
+    """S(t,1;p^k) for every t from the Euler-ladder inverses of
+    kernels.unit_inverses: the vectors as they were built before
+    unit_pairs."""
+    q = p**k
+    if q == 1:
+        return np.ones(1, dtype=np.complex128)
+    ws, wbars = kernels.unit_inverses(q)
+    h = np.zeros(q, dtype=np.complex128)
+    h[ws] = np.exp(2j * np.pi * wbars / q)
+    return q * np.fft.ifft(h)
+
+
+def prime_powers(limit, k_min=1):
+    """(p, k) for every prime power p^k <= limit with k >= k_min, by p and
+    then k."""
+    return [(p, k) for p in range(2, limit + 1) if is_prime(p)
+            for k in range(k_min, limit.bit_length()) if p**k <= limit]
+
+
+class TestUnitPairs:
+    def test_block_vectors_equal_the_euler_vectors(self):
+        # every prime power of c <= 2000 (2^1 ... 2^10 among them) and
+        # p^0 = 1, built as one stream of blocks and one modulus at a time
+        moduli = prime_powers(2000, k_min=0)
+        assert {(2, k) for k in range(11)} <= set(moduli)
+        for (p, k), vec in zip(moduli, engine._twisted_S_vectors(moduli)):
+            want = euler_S_vector(p, k)
+            assert np.array_equal(vec, want), (p, k)
+            assert np.array_equal(engine._twisted_S_vector(p, k, None), want), (p, k)
+
+    def test_pairs_are_inverse_and_cover_the_units(self):
+        moduli = prime_powers(5000)
+        pairs = list(unit_pairs(moduli))
+        assert len(pairs) == len(moduli)
+        for (p, k), (units, inverses) in zip(moduli, pairs):
+            q = p**k
+            assert (units * inverses % q == 1).all(), (p, k)
+            assert np.array_equal(np.sort(units), kernels.unit_inverses(q)[0]), (p, k)
+        assert [u.tolist() for u in next(unit_pairs([(2, 0)]))] == [[0], [0]]
+
+    @pytest.mark.parametrize("locals_", [(), (make_sc(3, 0), Classical(2, 1))], ids=["level-1", "criterion-6"])
+    def test_table_is_symmetric_in_m_and_n(self, locals_):
+        # S(m,n;c) = S(n,m;c): every read uses mn and gcd(m, n) only, so the
+        # swapped table is equal bit for bit, Selberg's terms included
+        gtf = GlobalTestFunction(locals_)
+        pairs = [(m, n) for m in range(1, 13) for n in range(1, 13)] + [(0, 6), (25, 5), (49, 98)]
+        ms, ns = np.array(pairs).T
+        cs = np.arange(1, 601)
+        table = h_global_table(gtf, ms, ns, cs)
+        assert np.count_nonzero(table) > len(cs)
+        assert np.array_equal(table, h_global_table(gtf, ns, ms, cs))
 
 
 class TestMellin:

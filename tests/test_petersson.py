@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from genkl import engine, petersson
+from genkl import engine, padic, petersson
 from genkl.padic import BESSEL_X_CAP, CapacityError
 from genkl.quadext import standard_extensions
 from genkl.extchars import enumerate_xi, eta_restriction
@@ -194,13 +194,23 @@ class TestGeometric:
         with pytest.raises(ValueError, match="pairs"):
             ratio_verify([12], [], c_max=50)
 
-    def test_h_table_holds_no_prime_power_caches(self):
+    def test_h_table_holds_no_prime_power_caches(self, monkeypatch):
         # the benchmark's run: the 333 prime-power vectors of c <= 2000 are
-        # built one prime at a time, and neither the vector nor the
-        # inverse-table cache is filled (at 4.4 MB each they held 14.3 MB
-        # traced at the peak)
+        # built from generator powers, a block of moduli at a time, and held
+        # one prime at a time; neither the vector nor the inverse-table cache
+        # is filled (at 4.4 MB each they held 14.3 MB traced at the peak),
+        # the Euler inverses are never taken, and padic's memos of unit
+        # groups and dlog tables do not grow
         engine._classical_S_vector.cache_clear()
         engine._unit_inverses.cache_clear()
+        calls, euler_inverses = [], engine.kernels.unit_inverses
+
+        def counted(c):
+            calls.append(c)
+            return euler_inverses(c)
+
+        monkeypatch.setattr(engine.kernels, "unit_inverses", counted)
+        groups, dlogs = padic.unit_group_zpk.cache_info().currsize, padic.dlog_rows.cache_info().currsize
         pairs = [(m, n) for m in range(1, 11) for n in range(1, 11)]
         tracemalloc.start()
         try:
@@ -212,6 +222,31 @@ class TestGeometric:
         assert peak < 8 * 2**20
         assert engine._classical_S_vector.cache_info().currsize == 0
         assert engine._unit_inverses.cache_info().currsize == 0
+        assert calls == []
+        assert padic.unit_group_zpk.cache_info().currsize == groups
+        assert padic.dlog_rows.cache_info().currsize == dlogs
+
+    def test_swapped_pairs_give_equal_entries(self):
+        pairs = [(1, 2), (3, 5), (4, 6), (7, 7), (2, 9), (10, 4)]
+        fwd = ratio_verify([12, 18], pairs, c_max=300)
+        rev = ratio_verify([12, 18], [(n, m) for m, n in pairs], c_max=300)
+        assert fwd["max_deviation"] == rev["max_deviation"] < 1e-9
+        for a, b in zip(fwd["entries"], rev["entries"]):
+            assert (a["m"], a["n"]) == (b["n"], b["m"])
+            assert (a["ratio"], a["target"], a["dev"]) == (b["ratio"], b["target"], b["dev"])
+
+    def test_entries_keep_the_pair_order_and_repeats(self):
+        # (1, 1) is also the base column; the repeats and swaps share columns
+        pairs = [(3, 2), (1, 1), (2, 3), (3, 2), (5, 1), (1, 5), (3, 2)]
+        rep = ratio_verify([12, 16], pairs, c_max=200)
+        entries = rep["entries"]
+        assert [(e["kappa"], e["m"], e["n"]) for e in entries] == [
+            (kappa, m, n) for kappa in (12, 16) for m, n in pairs
+        ]
+        for kappa in (12, 16):
+            row = [e["ratio"] for e in entries if e["kappa"] == kappa]
+            assert row[0] == row[2] == row[3] == row[6] != row[4] == row[5]
+            assert abs(row[1] - 1) < 1e-12
 
     def test_weight_guards(self):
         with pytest.raises(ValueError):

@@ -395,7 +395,8 @@ def cmd_petersson_verify(args):
     kappas = [int(k) for k in args.kappa.split(",")]
     if args.mmax < 1:
         raise ValueError("--mmax must be >= 1")
-    check_ratio_capacity(mn_max=args.mmax**2, n_pairs=args.mmax**2, c_max=args.cmax)
+    # ratio_verify's columns: the unordered pairs m <= n <= mmax, (1, 1) among them
+    check_ratio_capacity(mn_max=args.mmax**2, n_pairs=args.mmax * (args.mmax + 1) // 2, c_max=args.cmax)
     pairs = [(m, n) for m in range(1, args.mmax + 1) for n in range(1, args.mmax + 1)]
     eigen = None
     if args.eigen_cache:

@@ -559,19 +559,32 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
     return table
 
 
+def _primes_upto(n: int) -> np.ndarray:
+    """The primes <= n, ascending, by the sieve of Eratosthenes."""
+    sieve = np.ones(max(n + 1, 2), dtype=bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    return np.flatnonzero(sieve)
+
+
 def _prime_power_parts(cs: np.ndarray):
     """(q, e, rows) for every prime power q^e that exactly divides some
-    c_i, with rows the indices i of those c_i."""
+    c_i, with rows the indices i of those c_i, by trial division by the
+    primes up to sqrt(max c)."""
     rest = cs.copy()
-    q = 2
-    while len(rest) and q * q <= rest.max():
+    if not len(rest):
+        return
+    for q in _primes_upto(math.isqrt(int(rest.max()))).tolist():
+        if q * q > rest.max():
+            break
         e = np.zeros(len(rest), dtype=np.int64)
         while (hit := rest % q == 0).any():
             e += hit
             rest[hit] //= q
         for k in kernels.distinct(e[e > 0]).tolist():
             yield q, k, np.flatnonzero(e == k)
-        q += 1
     # what is left of each c_i is 1 or a prime above sqrt(max c)
     for q in kernels.distinct(rest[rest > 1]).tolist():
         yield q, 1, np.flatnonzero(rest == q)

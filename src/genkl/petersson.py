@@ -3,17 +3,17 @@
 The geometric side has one path at every level: a table of H(m,n;c) over
 the admissible moduli c = k(F), 2k(F), ... <= c_max for a list of pairs,
 built once by engine.h_global_table, then summed against J-Bessel weights
-for every weight at once, one Kahan-compensated sum per (weight, pair) in
-ascending c.  The integer-order Bessel functions come from one numpy
-routine (power series at small x, Hankel's expansion and the forward
-recurrence at x above every order, Miller's backward recurrence in
-between; DLMF 10.17(i), 10.74(iv)); archimedean.bessel_J reads its
-integer orders from the same table.  Eigenvalue data comes from the
-eta-product / Eisenstein-series expansions (level 1), or from an
-append-only JSONL cache that is validated on ingest.  Only
-eigenvalue ratios are ever asserted: the ratio P(m,n)/P(1,1) removes the
-harmonic weight and the Petersson norm at one stroke in the
-one-dimensional weights.
+for every weight at once: each block of moduli in one array pass, and the
+block sums in ascending c with Kahan compensation per (weight, pair).  The
+integer-order Bessel functions come from one numpy routine (power series
+at small x, Hankel's expansion and the forward recurrence at x above every
+order, Miller's backward recurrence in between; DLMF 10.17(i), 10.74(iv));
+archimedean.bessel_J reads its integer orders from the same table.
+Eigenvalue data comes from the eta-product / Eisenstein-series expansions
+(level 1), or from an append-only JSONL cache that is validated on
+ingest.  Only eigenvalue ratios are ever asserted: the ratio
+P(m,n)/P(1,1) removes the harmonic weight and the Petersson norm at one
+stroke in the one-dimensional weights.
 """
 
 from __future__ import annotations
@@ -236,7 +236,8 @@ def petersson_geometric(
 ) -> PeterssonValue:
     """delta_{m=n} delta_infty delta_fin + ((kappa-1)/2) i^{-kappa}
     sum over c <= c_max, k(F) | c of H(m,n;c)/c J_{kappa-1}(4 pi sqrt(mn)/c),
-    summed in ascending c with compensation; the tail estimate uses the
+    summed as _geometric_side sums it (a block of moduli at a time, the
+    block sums with compensation); the tail estimate uses the
     small-argument J bound and the trivial bound on H."""
     if kappa % 2 or kappa < 4:
         raise ValueError("kappa must be even and >= 4")
@@ -248,8 +249,9 @@ def petersson_geometric(
     return PeterssonValue(complex(value), _tail_estimate(gtf, kappa, m, n, c_max))
 
 
-# moduli per block of terms in _geometric_side: one Bessel table per block,
-# and temporaries under 1 MB each at six weights and a hundred pairs
+# moduli per block of terms in _geometric_side: one Bessel table and one
+# array sum per block, and temporaries under 1 MB each at six weights and a
+# hundred pairs
 _BLOCK = 64
 
 # elements of x per pass of _bessel_J_table: each temporary is 512 kB
@@ -412,24 +414,28 @@ def _check_table_size(gtf: GlobalTestFunction, mn_max: int, n_pairs: int, c_max:
 
 
 def check_ratio_capacity(mn_max: int, n_pairs: int, c_max: int):
-    """Refuse what ratio_verify would refuse for n_pairs distinct unordered
-    pairs with largest product mn_max, before the caller builds the pairs."""
-    _check_table_size(GlobalTestFunction(()), mn_max, n_pairs + 1, c_max)
+    """Refuse what ratio_verify would refuse for pairs with largest product
+    mn_max and n_pairs distinct unordered pairs, (1, 1) counted among them
+    once, before the caller builds the pairs: n_pairs is the number of
+    columns of ratio_verify's H table."""
+    _check_table_size(GlobalTestFunction(()), mn_max, n_pairs, c_max)
 
 
 def _geometric_side(
     gtf: GlobalTestFunction, kappas, pairs, table: np.ndarray, c_max: int
 ) -> np.ndarray:
     """The geometric side from the table built by _h_table, one row per
-    kappa and one column per pair; each entry is summed in ascending c
-    with Kahan compensation.  The J-Bessel weights depend on the pair only
-    through mn, so each block of moduli gets one table over every order
-    and distinct product."""
+    kappa and one column per pair.  The terms of each block of _BLOCK
+    moduli are summed in one array pass (one einsum over the block's H/c
+    and Bessel weights, times the weight's prefactor), and the block sums
+    are added in ascending c with Kahan compensation.  The J-Bessel
+    weights depend on the pair only through mn, so each block of moduli
+    gets one table over every order and distinct product."""
     orders = [kappa - 1 for kappa in kappas]
     ms, ns = np.array(pairs, dtype=np.int64).T
     delta_inf = np.array([(kappa - 1) / (4 * math.pi) for kappa in kappas])[:, None]
     diag = np.where(ms == ns, delta_inf * float(gtf.delta_fin), 0.0)
-    pref = np.array([(kappa - 1) / 2 * (1j) ** (-kappa) for kappa in kappas])[:, None, None]
+    pref = np.array([(kappa - 1) / 2 * (1j) ** (-kappa) for kappa in kappas])[:, None]
     products, col = np.unique(ms * ns, return_inverse=True)
     xs = 4 * math.pi * np.sqrt(products)
     cs = np.array(_moduli(gtf, c_max), dtype=np.float64)[:, None]
@@ -437,14 +443,15 @@ def _geometric_side(
     comp = np.zeros_like(total)
     for lo in range(0, len(cs), _BLOCK):
         c = cs[lo : lo + _BLOCK]
-        terms = pref * table[lo : lo + _BLOCK]
-        terms /= c
-        terms *= _bessel_J_table(orders, xs / c)[:, :, col]
-        for term in terms.swapaxes(0, 1):
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
+        h = table[lo : lo + _BLOCK] / c
+        weights = _bessel_J_table(orders, xs / c)[:, :, col]
+        # sum over the block's moduli for every order and pair at once, the
+        # real and imaginary parts of H/c each against the real weights
+        block = np.einsum("cj,kcj->kj", h.real, weights) + 1j * np.einsum("cj,kcj->kj", h.imag, weights)
+        y = pref * block - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
     return diag + total
 
 

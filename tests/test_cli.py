@@ -373,6 +373,22 @@ class TestExitCodes:
         assert err.startswith("capacity exceeded: ")
         assert out == ""
 
+    def test_petersson_capacity_counts_the_columns(self, capsys, monkeypatch):
+        # --mmax 10 builds one column per unordered pair m <= n <= 10, (1, 1)
+        # among them: 55 columns over the moduli 1..2000, so a capacity of
+        # exactly 2000 x 55 entries holds the table and one entry less does not
+        from genkl import engine
+
+        argv = "petersson-verify --kappa 12 --mmax 10 --cmax 2000".split()
+        monkeypatch.setattr(engine, "GROUP_CAPACITY", 2000 * 55)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
+        monkeypatch.setattr(engine, "GROUP_CAPACITY", 2000 * 55 - 1)
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "capacity exceeded: H table of 2000 moduli x 55 pairs exceeds capacity\n"
+
     @pytest.mark.parametrize("argv, message", [
         ("petersson-verify --cmax 0", "c_max must be >= 1"),
         ("petersson-verify --cmax -5", "c_max must be >= 1"),

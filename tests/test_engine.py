@@ -666,6 +666,53 @@ class TestUnitPairs:
         assert np.array_equal(table, h_global_table(gtf, ns, ms, cs))
 
 
+def trial_division_parts(cs):
+    """(q, e, rows) of every prime power q^e exactly dividing some c, by
+    trial division by every integer q with q^2 <= max of what is left:
+    the parts as h_global_table took them before the sieve."""
+    rest, out, q = np.array(cs, dtype=np.int64), [], 2
+    while len(rest) and q * q <= rest.max():
+        e = np.zeros(len(rest), dtype=np.int64)
+        while (hit := rest % q == 0).any():
+            e += hit
+            rest[hit] //= q
+        out += [(q, k, np.flatnonzero(e == k).tolist()) for k in sorted(set(e[e > 0].tolist()))]
+        q += 1
+    return out + [(q, 1, np.flatnonzero(rest == q).tolist()) for q in sorted(set(rest[rest > 1].tolist()))]
+
+
+class TestPrimePowerParts:
+    @pytest.mark.parametrize("cs", [
+        [1],
+        [1, 1, 1],
+        [4, 9, 25, 49, 121, 169, 2809],
+        [2**k for k in range(12)],
+        # the larger prime of each product is above sqrt(max c)
+        [47 * 53, 2 * 53, 3 * 59, 43 * 47, 53, 59 * 2, 61],
+        [7, 64],
+        list(range(1, 2001)),
+        list(range(2000, 0, -7)),
+    ], ids=["one", "ones", "prime-squares", "powers-of-2", "two-primes", "small-left", "benchmark", "descending"])
+    def test_parts_equal_trial_division_by_every_integer(self, cs):
+        got = [(q, e, rows.tolist()) for q, e, rows in engine._prime_power_parts(np.array(cs, dtype=np.int64))]
+        assert got == trial_division_parts(cs)
+
+    def test_parts_after_the_ramified_primes_are_stripped(self):
+        # what h_global_table factors for criterion 6's tensor (levels 9
+        # and 2) and for a level-25 principal series
+        for ps, cs in (((3, 2), np.arange(6, 3001, 6)), ((5,), np.arange(5, 5001, 5))):
+            c0 = cs.copy()
+            for p in ps:
+                while (hit := c0 % p == 0).any():
+                    c0[hit] //= p
+            got = [(q, e, rows.tolist()) for q, e, rows in engine._prime_power_parts(c0)]
+            assert got == trial_division_parts(c0)
+            assert all(q not in ps for q, _, _ in got)
+
+    def test_no_moduli_no_parts(self):
+        assert list(engine._prime_power_parts(np.array([], dtype=np.int64))) == []
+
+
 class TestMellin:
     # given mod 27 with conductor 3: both routes bring it to level 1 first
     DEEP_ALPHA = (DirichletCharacter(3, 3, (9,)), 1)

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,10 +9,12 @@ from genkl.engine import GlobalTestFunction, classical_S, classical_S_many, h_gl
 from genkl.padic import (
     DirichletCharacter,
     INF_VALUATION,
+    _primitive_root_mod_pk,
     e,
     enumerate_dirichlet,
     gauss_sum,
     gauss_sum_at_level,
+    generator_powers,
     hensel_sqrt_set,
     hilbert_symbol,
     legendre_symbol,
@@ -281,3 +284,23 @@ def test_nu():
     assert nu(9) == 12
     assert nu(12) == 24
     assert nu(30) == 72
+
+
+class TestGeneratorPowers:
+    # 46337^2 < 2^31 < 46349^2: products of residues on either side of the
+    # int32 range stay exact in the int64 doubling
+    @pytest.mark.parametrize("q", [46337, 46349, 2**15, 3**19])
+    def test_rows_equal_pow_at_the_int32_edge(self, q):
+        g = _primitive_root_mod_pk(q, 1) if q in (46337, 46349) else 5
+        gs = [g, 2, q - 1, q + 3]
+        got = generator_powers(gs, [q] * len(gs), 3000)
+        assert got.dtype == np.int64 and got.shape == (len(gs), 3000)
+        assert got.tolist() == [[pow(x, j, q) for j in range(3000)] for x in gs]
+
+    def test_mixed_moduli_share_one_pass(self):
+        qs = [46337, 46349, 7, 1]
+        got = generator_powers([3, 3, 3, 3], qs, 100)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[pow(3, j, q) for j in range(100)] for q in qs]
+        # a row does not depend on the other moduli of its call
+        assert np.array_equal(got[0], generator_powers([3], [46337], 100)[0])

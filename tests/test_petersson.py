@@ -255,6 +255,61 @@ class TestGeometric:
             ratio_verify([14], [(1, 1)], 50)
 
 
+def kahan_geometric_side(gtf, kappas, pairs, table, c_max):
+    """The geometric side summed one modulus at a time in ascending c with
+    Kahan compensation: the reference for petersson._geometric_side, which
+    sums each block of moduli in one array pass and compensates across the
+    block sums.  Same table, prefactors and Bessel weights, the weights
+    taken a block of moduli at a time as there."""
+    ms, ns = np.array(pairs, dtype=np.int64).T
+    delta_inf = np.array([(kappa - 1) / (4 * math.pi) for kappa in kappas])[:, None]
+    diag = np.where(ms == ns, delta_inf * float(gtf.delta_fin), 0.0)
+    pref = np.array([(kappa - 1) / 2 * (1j) ** (-kappa) for kappa in kappas])[:, None]
+    xs = 4 * math.pi * np.sqrt(ms * ns)
+    cs = np.array(petersson._moduli(gtf, c_max), dtype=np.float64)
+    total = np.zeros((len(kappas), len(pairs)), dtype=np.complex128)
+    comp = np.zeros_like(total)
+    for lo in range(0, len(cs), petersson._BLOCK):
+        block = cs[lo : lo + petersson._BLOCK]
+        weights = _bessel_J_table([kappa - 1 for kappa in kappas], xs / block[:, None])
+        for i, c in enumerate(block):
+            y = pref * table[lo + i] / c * weights[:, i] - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+    return diag + total
+
+
+class TestGeometricSums:
+    def test_block_sums_match_the_per_modulus_kahan_sum(self):
+        # the benchmark's inputs: six weights, the 55 unordered pairs of
+        # --mmax 10, every c <= 2000
+        gtf = GlobalTestFunction(())
+        kappas = ONE_DIMENSIONAL_WEIGHTS
+        pairs = [(m, n) for m in range(1, 11) for n in range(m, 11)]
+        table = petersson._h_table(gtf, pairs, 2000)
+        got = petersson._geometric_side(gtf, kappas, pairs, table, 2000)
+        want = kahan_geometric_side(gtf, kappas, pairs, table, 2000)
+        assert got.shape == want.shape == (6, 55)
+        assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("kappa", [4, 12, 26])
+    def test_tail_estimate_bounds_the_tail(self, kappa):
+        # sum over 200 < c <= 4000 of |H(m,n;c)/c J_{kappa-1}(4 pi sqrt(mn)/c)|
+        # against the estimate for c_max = 200, weight 4 included
+        gtf = GlobalTestFunction(())
+        pairs = [(1, 1), (2, 3), (10, 10)]
+        cs = np.arange(201, 4001)
+        ms, ns = np.array(pairs).T
+        table = engine.h_global_table(gtf, ms, ns, cs)
+        x = 4 * math.pi * np.sqrt(ms * ns)
+        J = _bessel_J_table([kappa - 1], x[None, :] / cs[:, None])[0]
+        for j, (m, n) in enumerate(pairs):
+            actual = np.sum(np.abs(table[:, j] / cs * J[:, j]))
+            estimate = petersson._tail_estimate(gtf, kappa, m, n, 200)
+            assert 0 < actual <= estimate, (kappa, m, n, actual, estimate)
+
+
 class TestBesselTable:
     ORDERS = (3, 11, 15, 25, 51)
 

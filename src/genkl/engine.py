@@ -46,6 +46,7 @@ from .padic import (
     e,
     gauss_sum_at_level,
     nu,
+    primes_upto,
     unit_group_zpk,
     unit_pairs,
     valuation,
@@ -559,16 +560,6 @@ def h_global_table(gtf: GlobalTestFunction, ms, ns, cs) -> np.ndarray:
     return table
 
 
-def _primes_upto(n: int) -> np.ndarray:
-    """The primes <= n, ascending, by the sieve of Eratosthenes."""
-    sieve = np.ones(max(n + 1, 2), dtype=bool)
-    sieve[:2] = False
-    for q in range(2, math.isqrt(n) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = False
-    return np.flatnonzero(sieve)
-
-
 def _prime_power_parts(cs: np.ndarray):
     """(q, e, rows) for every prime power q^e that exactly divides some
     c_i, with rows the indices i of those c_i, by trial division by the
@@ -576,7 +567,7 @@ def _prime_power_parts(cs: np.ndarray):
     rest = cs.copy()
     if not len(rest):
         return
-    for q in _primes_upto(math.isqrt(int(rest.max()))).tolist():
+    for q in primes_upto(math.isqrt(int(rest.max()))).tolist():
         if q * q > rest.max():
             break
         e = np.zeros(len(rest), dtype=np.int64)

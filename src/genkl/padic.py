@@ -55,6 +55,16 @@ def valuation(n: int, p: int):
     return t
 
 
+def primes_upto(n: int) -> np.ndarray:
+    """The primes <= n, ascending, by the sieve of Eratosthenes."""
+    sieve = np.ones(max(n + 1, 2), dtype=bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    return np.flatnonzero(sieve)
+
+
 def is_prime(n: int) -> bool:
     """Miller-Rabin on the first twelve prime bases: exact below 3.18e23."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -261,13 +271,15 @@ def unit_pairs(moduli):
     inverse of the unit at exponent vector x is the one at -x: g^(o-j), a
     reversed index, and -5^(-j).  Consecutive moduli share one
     generator_powers pass, about _BLOCK elements a block.  The primitive
-    roots are found afresh, so no memo grows with the moduli."""
+    roots are found afresh, so no memo grows with the moduli; p - 1 is
+    factored by the primes of one sieve up to sqrt(max p)."""
+    primes = primes_upto(math.isqrt(max((p for p, _ in moduli), default=1))).tolist()
     spec = []  # (q, g, order of g, whether -1 is a second generator)
     for p, k in moduli:
         if p == 2:
             spec.append((p**k, 5, max(2 ** k // 4, 1), k >= 2))
         else:
-            spec.append((p**k, _primitive_root_mod_pk(p, k) if k else 1, phi_pk(p, k), False))
+            spec.append((p**k, _primitive_root_mod_pk(p, k, primes) if k else 1, phi_pk(p, k), False))
     lo = 0
     while lo < len(spec):
         hi, width = lo + 1, spec[lo][2]
@@ -285,21 +297,31 @@ def unit_pairs(moduli):
         lo = hi
 
 
-def _primitive_root_mod_pk(p: int, k: int) -> int:
+def _primitive_root_mod_pk(p: int, k: int, primes=None) -> int:
     """The least primitive root g mod p, or g + p when g^(p-1) = 1 mod p^2
-    and k >= 2 (g works mod p^k iff g^(p-1) != 1 mod p^2)."""
+    and k >= 2 (g works mod p^k iff g^(p-1) != 1 mod p^2).  p - 1 is
+    factored by the primes, ascending and at least up to sqrt(p - 1)
+    (sieved here when not given); g is a root iff g^((p-1)/f) != 1 for
+    every prime f | p - 1."""
+    if primes is None:
+        primes = primes_upto(math.isqrt(p - 1)).tolist()
     n = m = p - 1
-    facs, q = [], 2
-    while q * q <= m:
+    cofactors = []
+    for q in primes:
+        if q * q > m:
+            break
         if m % q == 0:
-            facs.append(q)
+            cofactors.append(n // q)
+            m //= q
             while m % q == 0:
                 m //= q
-        q += 1
     if m > 1:
-        facs.append(m)
+        cofactors.append(n // m)
     for g in range(2, p):
-        if all(pow(g, n // f, p) != 1 for f in facs):
+        for e in cofactors:
+            if pow(g, e, p) == 1:
+                break
+        else:
             break
     else:
         raise AssertionError("no primitive root found")

@@ -2,9 +2,15 @@
 
 The geometric side has one path at every level: a table of H(m,n;c) over
 the admissible moduli c = k(F), 2k(F), ... <= c_max for a list of pairs,
-built once by engine.h_global_table, then summed against J-Bessel weights
-for every weight at once: each block of moduli in one array pass, and the
-block sums in ascending c with Kahan compensation per (weight, pair).  The
+built once by engine.h_global_table, then summed for every weight at once
+in two parts.  Past some c0 every Bessel argument 4 pi sqrt(mn)/c lies in
+the fast region of J's power series (DLMF 10.2.2).  The head, the blocks
+of moduli up to the first block boundary past c0, is summed against
+J-Bessel weights, each block of moduli in one array pass, and the block
+sums in ascending c with Kahan compensation per (weight, pair).  The
+series tail, every modulus after the head, needs no Bessel values: it is
+a few power moments sum_c H(m,n;c) (c0/c)^s of the table against the
+series' coefficients.  The
 integer-order Bessel functions come from one numpy routine (power series
 at small x, Hankel's expansion and the forward recurrence at x above every
 order, Miller's backward recurrence in between; DLMF 10.17(i), 10.74(iv));
@@ -236,8 +242,9 @@ def petersson_geometric(
 ) -> PeterssonValue:
     """delta_{m=n} delta_infty delta_fin + ((kappa-1)/2) i^{-kappa}
     sum over c <= c_max, k(F) | c of H(m,n;c)/c J_{kappa-1}(4 pi sqrt(mn)/c),
-    summed as _geometric_side sums it (a block of moduli at a time, the
-    block sums with compensation); the tail estimate uses the
+    summed as _geometric_side sums it (the head a block of moduli at a
+    time, the block sums with compensation, and the series tail from power
+    moments of H by DLMF 10.2.2); the tail estimate for c > c_max uses the
     small-argument J bound and the trivial bound on H."""
     if kappa % 2 or kappa < 4:
         raise ValueError("kappa must be even and >= 4")
@@ -249,9 +256,11 @@ def petersson_geometric(
     return PeterssonValue(complex(value), _tail_estimate(gtf, kappa, m, n, c_max))
 
 
-# moduli per block of terms in _geometric_side: one Bessel table and one
-# array sum per block, and temporaries under 1 MB each at six weights and a
-# hundred pairs
+# moduli per block of terms in _geometric_side: in the head one Bessel
+# table and one array sum per block, in the series tail (DLMF 10.2.2) one
+# table of powers of c0/c and one einsum per block; temporaries under 1 MB
+# each at six weights and a hundred pairs.  The head ends at a multiple of
+# _BLOCK moduli
 _BLOCK = 64
 
 # elements of x per pass of _bessel_J_table: each temporary is 512 kB
@@ -425,12 +434,19 @@ def _geometric_side(
     gtf: GlobalTestFunction, kappas, pairs, table: np.ndarray, c_max: int
 ) -> np.ndarray:
     """The geometric side from the table built by _h_table, one row per
-    kappa and one column per pair.  The terms of each block of _BLOCK
-    moduli are summed in one array pass (one einsum over the block's H/c
-    and Bessel weights, times the weight's prefactor), and the block sums
-    are added in ascending c with Kahan compensation.  The J-Bessel
-    weights depend on the pair only through mn, so each block of moduli
-    gets one table over every order and distinct product."""
+    kappa and one column per pair, in two parts split at a block boundary.
+
+    The head is every block of _BLOCK moduli up to the first block
+    boundary past c0 = max x / (2 sqrt((nu_min + 1)/8)), with x = 4 pi
+    sqrt(mn) and nu_min = min(kappa) - 1.  Its terms are summed a block at
+    a time in one array pass (one einsum over the block's H/c and Bessel
+    weights, times the weight's prefactor), and the block sums are added
+    in ascending c with Kahan compensation.  The J-Bessel weights depend
+    on the pair only through mn, so each block of moduli gets one table
+    over every order and distinct product.  Past c0 every term of J_nu's
+    power series (DLMF 10.2.2) is at most 1/8 of the one before, so the
+    tail needs no Bessel values: _series_tail sums it from power moments
+    of the H table, and it is added once after the Kahan loop."""
     orders = [kappa - 1 for kappa in kappas]
     ms, ns = np.array(pairs, dtype=np.int64).T
     delta_inf = np.array([(kappa - 1) / (4 * math.pi) for kappa in kappas])[:, None]
@@ -439,9 +455,12 @@ def _geometric_side(
     products, col = np.unique(ms * ns, return_inverse=True)
     xs = 4 * math.pi * np.sqrt(products)
     cs = np.array(_moduli(gtf, c_max), dtype=np.float64)[:, None]
+    c0 = xs.max() / (2 * math.sqrt((min(orders) + 1) / 8)) if orders else math.inf
+    # the head ends at the first block boundary past c0
+    split = min(math.ceil(np.searchsorted(cs[:, 0], c0, side="right") / _BLOCK) * _BLOCK, len(cs))
     total = np.zeros((len(orders), len(pairs)), dtype=np.complex128)
     comp = np.zeros_like(total)
-    for lo in range(0, len(cs), _BLOCK):
+    for lo in range(0, split, _BLOCK):
         c = cs[lo : lo + _BLOCK]
         h = table[lo : lo + _BLOCK] / c
         weights = _bessel_J_table(orders, xs / c)[:, :, col]
@@ -452,7 +471,56 @@ def _geometric_side(
         t = total + y
         comp = (t - total) - y
         total = t
+    if split < len(cs):
+        tail = _series_tail(orders, xs[col] / (2 * c0), table[split:], c0 / cs[split:, 0])
+        total = total + (pref / c0 * tail - comp)
     return diag + total
+
+
+# terms of J_nu's power series that _series_tail keeps.  Where
+# (y/2)^2 <= (nu + 1)/8, term i + 1 is at most 1/(8(i + 1)) of term i, so
+# term i is at most 8^-i/i! of the first, the sum at least 0.86 of it, and
+# what follows term 10 at most 2^-57 of the sum
+_TAIL_TERMS = 11
+
+
+def _series_tail(orders, zs: np.ndarray, table: np.ndarray, ratios: np.ndarray) -> np.ndarray:
+    """c0 sum over the rows c of H(c)/c J_nu(2 z c0/c) for every order nu
+    and every column of the table, shape (len(orders), len(zs)): zs holds
+    one z per column, ratios one c0/c < 1 per row, and
+    (z c0/c)^2 <= (nu + 1)/8 for every order.
+
+    With J_nu(y) = sum_i (-1)^i (y/2)^(nu+2i) / (i! (nu+i)!), the sum is
+    sum_i (-1)^i z^(nu+2i) / (i! (nu+i)!) M_(nu+1+2i), where the power
+    moments M_s = sum_c H(c) (c0/c)^s serve every order at once.  The
+    moments take one einsum per block of _BLOCK moduli, the real and
+    imaginary parts of H side by side.  The coefficients are running
+    products, as in _bessel_series: z^j/j! stays below e^z, and every
+    power of c0/c is at most 1."""
+    nus = np.array(orders, dtype=np.int64)[:, None]
+    ss = nus + 1 + 2 * np.arange(_TAIL_TERMS)  # (order, term): the power of c0/c
+    powers, sidx = np.unique(ss, return_inverse=True)
+    flat = np.ascontiguousarray(table, dtype=np.complex128).view(np.float64)  # re, im of each column
+    moments = np.zeros((len(powers), flat.shape[1]))
+    for lo in range(0, len(ratios), _BLOCK):
+        weights = ratios[lo : lo + _BLOCK, None] ** powers
+        # np.einsum, not a BLAS matmul: OpenBLAS splits the product over
+        # threads, and with another process busy on a 2-vCPU Xeon one
+        # matmul of the benchmark's moments took 4 to 92 ms, einsum 1 ms
+        moments += np.einsum("cs,cj->sj", weights, flat[lo : lo + _BLOCK])
+    moments = moments.view(np.complex128)
+    # coef[nu, i] = (-1)^i z^(nu+2i) / (i! (nu+i)!): z^nu/nu! by one running
+    # product over j = 1..max(nu), then the ratio of consecutive terms
+    coef = np.empty((len(orders), _TAIL_TERMS, len(zs)))
+    coef[:, 0] = 1
+    lead = np.ones_like(zs)
+    for j in range(1, int(nus.max(initial=0)) + 1):
+        lead = lead * zs / j
+        coef[nus[:, 0] == j, 0] = lead
+    y = -zs * zs
+    for i in range(1, _TAIL_TERMS):
+        coef[:, i] = coef[:, i - 1] * y / (i * (i + nus))
+    return np.einsum("kiz,kiz->kz", coef, moments[sidx.reshape(ss.shape)])
 
 
 def _tail_estimate(gtf: GlobalTestFunction, kappa: int, m: int, n: int, c_max: int) -> float:

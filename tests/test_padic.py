@@ -17,11 +17,14 @@ from genkl.padic import (
     generator_powers,
     hensel_sqrt_set,
     hilbert_symbol,
+    is_prime,
     legendre_symbol,
     nu,
     phi_pk,
+    primes_upto,
     ramanujan_sum,
     twisted_kloosterman,
+    unit_pairs,
     valuation,
 )
 
@@ -304,3 +307,37 @@ class TestGeneratorPowers:
         assert got.tolist() == [[pow(3, j, q) for j in range(100)] for q in qs]
         # a row does not depend on the other moduli of its call
         assert np.array_equal(got[0], generator_powers([3], [46337], 100)[0])
+
+
+def brute_primitive_root(p, k):
+    """The least g whose powers mod p run through all p - 1 units, by
+    walking them; g + p when k >= 2 and g^(p-1) = 1 mod p^2."""
+    for g in range(2, p):
+        x, order = g, 1
+        while x != 1:
+            x, order = x * g % p, order + 1
+        if order == p - 1:
+            break
+    return g + p if k >= 2 and pow(g, p - 1, p * p) == 1 else g
+
+
+class TestPrimitiveRoots:
+    ODD_PRIME_POWERS = [(p, k) for p in range(3, 5001) if is_prime(p)
+                        for k in range(1, 9) if p**k <= 5000]
+
+    def test_sieve_equals_the_primality_test(self):
+        assert primes_upto(5000).tolist() == [n for n in range(5001) if is_prime(n)]
+        assert primes_upto(0).tolist() == primes_upto(1).tolist() == []
+        assert primes_upto(2).tolist() == [2]
+
+    def test_roots_equal_the_brute_force_search(self):
+        # 40487 is the least prime whose least root 5 needs the lift mod p^2
+        cases = self.ODD_PRIME_POWERS + [(40487, 1), (40487, 2)]
+        assert len(cases) == 701
+        want = [brute_primitive_root(p, k) for p, k in cases]
+        assert want[-2:] == [5, 5 + 40487]
+        assert [_primitive_root_mod_pk(p, k) for p, k in cases] == want
+        # unit_pairs factors p - 1 by one shared sieve: its units run
+        # 1, g, g^2, ... for the same roots
+        pairs = list(unit_pairs(self.ODD_PRIME_POWERS))
+        assert [int(units[1]) for units, _ in pairs] == want[:-2]

@@ -10,7 +10,7 @@ from genkl import engine, padic, petersson
 from genkl.padic import BESSEL_X_CAP, CapacityError
 from genkl.quadext import standard_extensions
 from genkl.extchars import enumerate_xi, eta_restriction
-from genkl.families import Supercuspidal
+from genkl.families import Classical, Supercuspidal
 from genkl.engine import GlobalTestFunction
 from genkl.petersson import (
     EigenData,
@@ -258,9 +258,11 @@ class TestGeometric:
 def kahan_geometric_side(gtf, kappas, pairs, table, c_max):
     """The geometric side summed one modulus at a time in ascending c with
     Kahan compensation: the reference for petersson._geometric_side, which
-    sums each block of moduli in one array pass and compensates across the
-    block sums.  Same table, prefactors and Bessel weights, the weights
-    taken a block of moduli at a time as there."""
+    sums the head against Bessel tables, each block of moduli in one array
+    pass with compensation across the block sums, and the series tail
+    past the split from power moments of H (DLMF 10.2.2).  Same table and
+    prefactors; here every modulus takes its Bessel weights from
+    _bessel_J_table, a block of moduli at a time."""
     ms, ns = np.array(pairs, dtype=np.int64).T
     delta_inf = np.array([(kappa - 1) / (4 * math.pi) for kappa in kappas])[:, None]
     diag = np.where(ms == ns, delta_inf * float(gtf.delta_fin), 0.0)
@@ -280,6 +282,32 @@ def kahan_geometric_side(gtf, kappas, pairs, table, c_max):
     return diag + total
 
 
+def block_geometric_side(gtf, kappas, pairs, table, c_max):
+    """The geometric side summed against J-Bessel tables at every modulus:
+    each block of petersson._BLOCK moduli in one array pass, the block sums
+    with Kahan compensation, as _geometric_side sums its head."""
+    ms, ns = np.array(pairs, dtype=np.int64).T
+    orders = [kappa - 1 for kappa in kappas]
+    delta_inf = np.array([(kappa - 1) / (4 * math.pi) for kappa in kappas])[:, None]
+    diag = np.where(ms == ns, delta_inf * float(gtf.delta_fin), 0.0)
+    pref = np.array([(kappa - 1) / 2 * (1j) ** (-kappa) for kappa in kappas])[:, None]
+    products, col = np.unique(ms * ns, return_inverse=True)
+    xs = 4 * math.pi * np.sqrt(products)
+    cs = np.array(petersson._moduli(gtf, c_max), dtype=np.float64)[:, None]
+    total = np.zeros((len(kappas), len(pairs)), dtype=np.complex128)
+    comp = np.zeros_like(total)
+    for lo in range(0, len(cs), petersson._BLOCK):
+        c = cs[lo : lo + petersson._BLOCK]
+        h = table[lo : lo + petersson._BLOCK] / c
+        weights = _bessel_J_table(orders, xs / c)[:, :, col]
+        block = np.einsum("cj,kcj->kj", h.real, weights) + 1j * np.einsum("cj,kcj->kj", h.imag, weights)
+        y = pref * block - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return diag + total
+
+
 class TestGeometricSums:
     def test_block_sums_match_the_per_modulus_kahan_sum(self):
         # the benchmark's inputs: six weights, the 55 unordered pairs of
@@ -292,6 +320,59 @@ class TestGeometricSums:
         want = kahan_geometric_side(gtf, kappas, pairs, table, 2000)
         assert got.shape == want.shape == (6, 55)
         assert np.abs(got - want).max() <= 1e-14
+
+    # (weights, c_max, test function, pairs): weight 4 at level 1, whose
+    # geometric side is 0 (no cusp forms) and whose series tail is most of
+    # the sum, mixed weights, weights whose z^nu / nu! underflow, and the
+    # level-9 classical tensor; the level-1 pairs are the benchmark's
+    PAIRS_10 = [(m, n) for m in range(1, 11) for n in range(m, 11)]
+    SERIES_TAIL_CASES = [
+        ((4,), 20000, (), PAIRS_10),
+        ((4, 12, 26), 5000, (), PAIRS_10),
+        ((100, 200), 3000, (), PAIRS_10),
+        ((4,), 20000, (Classical(3, 2),), [(1, 1), (2, 5), (4, 4), (7, 10)]),
+    ]
+
+    @pytest.mark.parametrize("kappas, c_max, locals_, pairs", SERIES_TAIL_CASES)
+    def test_series_tail_matches_the_per_modulus_kahan_sum(self, monkeypatch, kappas, c_max, locals_, pairs):
+        gtf = GlobalTestFunction(locals_)
+        table = petersson._h_table(gtf, pairs, c_max)
+        tail_rows, series_tail = [], petersson._series_tail
+
+        def spy(orders, zs, table, ratios):
+            tail_rows.append(len(ratios))
+            return series_tail(orders, zs, table, ratios)
+
+        monkeypatch.setattr(petersson, "_series_tail", spy)
+        got = petersson._geometric_side(gtf, kappas, pairs, table, c_max)
+        want = kahan_geometric_side(gtf, kappas, pairs, table, c_max)
+        # the head ends at a block boundary, and the tail is summed once
+        assert len(tail_rows) == 1 and 0 < tail_rows[0] < len(table)
+        assert (len(table) - tail_rows[0]) % petersson._BLOCK == 0
+        assert np.isfinite(got).all()
+        assert np.abs(got - want).max() <= 1e-14
+
+    def test_split_at_the_first_block_boundary_past_c0(self, monkeypatch):
+        # the benchmark's weights and pairs: c0 = 4 pi sqrt(100) /
+        # (2 sqrt(12/8)) = 51.3, so the head is c <= 64 and the tail the
+        # rest; below c = 65 there is no tail, and the head is summed as
+        # block_geometric_side sums every modulus, bit for bit
+        gtf, kappas, pairs = GlobalTestFunction(()), ONE_DIMENSIONAL_WEIGHTS, self.PAIRS_10
+        calls, series_tail = [], petersson._series_tail
+
+        def spy(orders, zs, table, ratios):
+            calls.append(ratios)
+            return series_tail(orders, zs, table, ratios)
+
+        monkeypatch.setattr(petersson, "_series_tail", spy)
+        for c_max in (51, 52, 64):
+            table = petersson._h_table(gtf, pairs, c_max)
+            got = petersson._geometric_side(gtf, kappas, pairs, table, c_max)
+            assert np.array_equal(got, block_geometric_side(gtf, kappas, pairs, table, c_max))
+        assert calls == []
+        petersson._geometric_side(gtf, kappas, pairs, petersson._h_table(gtf, pairs, 65), 65)
+        c0 = 4 * math.pi * 10 / (2 * math.sqrt(12 / 8))
+        assert len(calls) == 1 and calls[0].tolist() == [c0 / 65]
 
     @pytest.mark.parametrize("kappa", [4, 12, 26])
     def test_tail_estimate_bounds_the_tail(self, kappa):
